@@ -6,6 +6,7 @@
 
 #include "cluster/tcp.h"
 #include "common/env.h"
+#include "common/timer.h"
 #include "service/json.h"
 #include "service/service.h"
 #include "service/wire.h"
@@ -25,14 +26,16 @@ namespace svc = s35::service;
 namespace wire = s35::service::wire;
 namespace json = s35::service::json;
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-bool terminal(svc::JobState s) {
-  return s != svc::JobState::kQueued && s != svc::JobState::kRunning;
+svc::JobTableOptions table_options(const RouterOptions& o) {
+  svc::JobTableOptions t;
+  t.max_points = o.max_points;
+  t.queue_capacity = o.queue_capacity;
+  t.tenancy = o.tenancy;
+  t.checkpoint_dir = o.checkpoint_dir;
+  t.checkpoint_every = o.checkpoint_every;
+  t.max_attempts = o.max_job_attempts;
+  t.retention = o.terminal_retention;
+  return t;
 }
 
 }  // namespace
@@ -70,14 +73,11 @@ RouterOptions RouterOptions::from_env() {
 
 Router::Router(RouterOptions options)
     : opts_(std::move(options)),
-      queue_(std::max<std::size_t>(1, opts_.queue_capacity)),
+      table_(table_options(opts_)),
       plans_(std::max<std::size_t>(1, opts_.plan_cache_entries)),
       ring_(opts_.vnodes) {
   if (opts_.beat_ms < 5) opts_.beat_ms = 5;
   if (opts_.window < 1) opts_.window = 1;
-  if (opts_.checkpoint_every < 1) opts_.checkpoint_every = 1;
-  if (opts_.terminal_retention < 1) opts_.terminal_retention = 1;
-  governor_.configure(opts_.tenancy);
   if (!opts_.plan_cache_path.empty()) {
     // A corrupt/absent file means a cold cache, never a wrong plan.
     [[maybe_unused]] const fault::Status st = plans_.load(opts_.plan_cache_path);
@@ -89,7 +89,6 @@ Router::Router(RouterOptions options)
     for (const int fd : wake_fds_)
       ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   }
-  stats_.workers = static_cast<int>(opts_.nodes.size());
   slots_.resize(opts_.nodes.size());
   for (std::size_t i = 0; i < opts_.nodes.size(); ++i) {
     slots_[i].index = static_cast<int>(i);
@@ -113,276 +112,44 @@ Router::NodeSlot* Router::slot_by_address(const std::string& address) {
   return nullptr;
 }
 
-fault::Expected<std::uint64_t> Router::submit(const svc::JobSpec& spec) {
-  if (const fault::Status st = svc::validate_spec(spec, opts_.max_points);
-      !st.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    return st;
-  }
-  shed_expired_queued();
+std::uint64_t Router::plan_version(const svc::PlanKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = plan_ver_by_key_.find(key.hash());
+  return it != plan_ver_by_key_.end() ? it->second : 0;
+}
 
-  const double cost = svc::predicted_job_cost(spec);
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_ || draining_.load(std::memory_order_acquire) ||
-        queue_.closed()) {
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable, "service shut down");
-    }
-    const std::int64_t now = now_ns();
-    if (const svc::AdmitDecision d = governor_.admit(
-            spec, cost, queue_.size() + retry_.size() + holdback_.size(),
-            queue_.capacity(), now);
-        !d.ok()) {
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable,
-                           svc::format_rejection(d.reason,
-                                                 "tenant admission rejected",
-                                                 d.retry_after_ms));
-    }
-    id = next_id_++;
-    auto rec = std::make_unique<JobRec>();
-    rec->spec = spec;
-    // The router — never the client — chooses the failover checkpoint
-    // location; the directory is shared across nodes, so the ring successor
-    // finds the dead owner's last pass-boundary checkpoint by job id.
-    if (!opts_.checkpoint_dir.empty()) {
-      rec->spec.checkpoint_path =
-          opts_.checkpoint_dir + "/job-" + std::to_string(id) + ".ckpt";
-      rec->spec.checkpoint_every = opts_.checkpoint_every;
-    }
-    rec->submit_ns = now;
-    const std::int64_t deadline_ns =
-        spec.deadline_ms > 0 ? now + spec.deadline_ms * 1'000'000 : 0;
-    const svc::QueueItem item{id,
-                              spec.priority,
-                              id,
-                              spec.shape_key(),
-                              spec.tenant_key(),
-                              static_cast<std::uint32_t>(spec.eff_weight()),
-                              cost,
-                              deadline_ns};
-    if (!queue_.try_push(item)) {
-      const svc::AdmitDecision d = governor_.queue_full(spec, cost, now);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          svc::format_rejection(d.reason, "queue full", d.retry_after_ms));
-    }
-    jobs_[id] = std::move(rec);
-    ++active_jobs_;
-    ++stats_.submitted;
-  }
-  wake();
+fault::Expected<std::uint64_t> Router::submit(const svc::JobSpec& spec) {
+  const auto id = table_.submit(spec);
+  if (id.ok()) wake();
   return id;
 }
 
 bool Router::cancel(std::uint64_t id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return false;
-    it->second->cancel_requested = true;
-  }
-  wake();
+  if (!table_.cancel(id)) return false;
+  wake();  // the monitor forwards a running job's cancel to its node
   return true;
 }
 
-std::optional<svc::JobInfo> Router::info(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  svc::JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
-}
-
-std::optional<svc::JobInfo> Router::wait(std::uint64_t id,
-                                         std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (jobs_.find(id) == jobs_.end()) return std::nullopt;
-  // Re-find on every evaluation: retention may erase a terminal record
-  // while this thread sleeps on the condition variable.
-  const auto pred = [&] {
-    const auto it = jobs_.find(id);
-    return it == jobs_.end() || terminal(it->second->state);
-  };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-  } else if (!jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                                pred)) {
-    return std::nullopt;
-  }
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;  // terminal but aged out
-  svc::JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
-}
-
-bool Router::drain(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto pred = [&] { return active_jobs_ == 0; };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-    return true;
-  }
-  return jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred);
-}
-
 svc::ServiceStats Router::stats() const {
-  svc::ServiceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-    out.queue_depth = queue_.size() + retry_.size() + holdback_.size();
-    out.in_flight = 0;
-    out.workers_live = 0;
-    const std::int64_t now = now_ns();
-    for (const NodeSlot& n : slots_) {
-      if (!n.live) continue;
-      ++out.workers_live;
-      out.in_flight += n.jobs.size();
-      const std::int64_t age_ms = (now - n.beat_ns) / 1'000'000;
-      out.max_heartbeat_age_ms = std::max(out.max_heartbeat_age_ms, age_ms);
-    }
-  }
-  out.tenancy = governor_.enabled();
-  out.quarantined = governor_.quarantined_total();
-  out.quarantine_trips = governor_.quarantine_trips();
-  out.tenants = governor_.snapshot();
-  if (!out.tenants.empty()) {
-    for (const auto& [tenant, deficit] : queue_.drr_snapshot())
-      for (svc::TenantCounters& c : out.tenants)
-        if (c.key == tenant) c.deficit = deficit;
+  svc::ServiceStats out = table_.stats();
+  out.workers = static_cast<int>(opts_.nodes.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::int64_t now = steady_now_ns();
+  for (const NodeSlot& n : slots_) {
+    if (!n.live) continue;
+    ++out.workers_live;
+    out.max_heartbeat_age_ms =
+        std::max(out.max_heartbeat_age_ms, (now - n.beat_ns) / 1'000'000);
   }
   return out;
-}
-
-void Router::record_terminal(std::uint64_t id, svc::JobState state,
-                             const svc::JobResult& r) {
-  // Exactly-once: the first terminal transition wins; duplicates (a
-  // failover racing a slow socket) are dropped here — including a late
-  // duplicate for a record retention already evicted (find fails).
-  bool was_running = false;
-  svc::JobSpec spec;  // copied: retention may erase the rec after unlock
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    was_running = rec.state == svc::JobState::kRunning;
-    spec = rec.spec;
-    rec.state = state;
-    rec.result = r;
-    if (rec.node >= 0) {
-      auto& v = slots_[static_cast<std::size_t>(rec.node)].jobs;
-      v.erase(std::remove(v.begin(), v.end(), id), v.end());
-      rec.node = -1;
-    }
-    --active_jobs_;
-    switch (state) {
-      case svc::JobState::kDone:
-        ++stats_.completed;
-        break;
-      case svc::JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case svc::JobState::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case svc::JobState::kExpired:
-        ++stats_.expired;
-        break;
-      default:
-        break;
-    }
-    if (r.batched) ++stats_.batched;
-    if (r.plan_cache_hit)
-      ++stats_.plan_hits;
-    else if (state == svc::JobState::kDone)
-      ++stats_.plan_misses;
-    if (rec.dispatch_ns > 0)
-      stats_.total_wait_s +=
-          static_cast<double>(rec.dispatch_ns - rec.submit_ns) * 1e-9;
-    stats_.total_run_s += r.run_s;
-    // Bounded retention: keep the last terminal_retention terminal records
-    // queryable, then drop — a long-lived router must not grow per
-    // submitted job forever.
-    terminal_order_.push_back(id);
-    while (terminal_order_.size() > opts_.terminal_retention) {
-      jobs_.erase(terminal_order_.front());
-      terminal_order_.pop_front();
-    }
-  }
-  governor_.note_finished(spec, was_running, state);
-  // The shared-directory checkpoint exists only to seed failover; once the
-  // job is terminal it can never be dispatched again, so unlink it.
-  if (!spec.checkpoint_path.empty()) ::unlink(spec.checkpoint_path.c_str());
-  jobs_cv_.notify_all();
-}
-
-void Router::failover(std::uint64_t id, const char* why) {
-  bool abandoned = false;
-  svc::AdmitDecision quarantine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    if (rec.attempts >= opts_.max_job_attempts) {
-      abandoned = true;
-    } else if (quarantine = governor_.quarantine_check(rec.spec, now_ns());
-               !quarantine.ok()) {
-      // Poison quarantine: this (tenant, shape) keeps killing nodes. Fail
-      // fast instead of burning the remaining attempts on the ring.
-    } else {
-      // Resume from the last durable pass-boundary checkpoint in the shared
-      // directory; a missing or unusable file degrades to a fresh (still
-      // bit-exact) start on the ring successor.
-      rec.spec.resume = !rec.spec.checkpoint_path.empty();
-      rec.state = svc::JobState::kQueued;
-      rec.node = -1;
-      retry_.push_back(id);
-      governor_.note_requeued(rec.spec);
-      ++stats_.failovers;
-      ++stats_.redispatched;
-    }
-  }
-  if (abandoned) {
-    svc::JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = std::string("job abandoned after ") +
-                std::to_string(opts_.max_job_attempts) +
-                " dispatch attempts — last node loss: " + why;
-    record_terminal(id, svc::JobState::kFailed, r);
-  } else if (!quarantine.ok()) {
-    svc::JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = svc::format_rejection(
-        svc::AdmitReason::kQuarantined,
-        std::string("poison job quarantined — last node loss: ") + why,
-        quarantine.retry_after_ms);
-    record_terminal(id, svc::JobState::kFailed, r);
-  }
 }
 
 void Router::on_hello(NodeSlot& n, const std::string& payload) {
   std::int64_t advertised = 0;
   json::get_int(payload, "jobs", &advertised);
-  const std::int64_t now = now_ns();
-  bool rejoin = false;
+  const std::int64_t now = steady_now_ns();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rejoin = n.rejoins > 0;
     n.live = true;
     n.drained = false;
     n.window = advertised > 0
@@ -390,21 +157,15 @@ void Router::on_hello(NodeSlot& n, const std::string& payload) {
                    : opts_.window;
     n.progress_ns = now;
     n.beat_ns = now;
-    if (rejoin) ++stats_.restarts;
   }
+  if (n.rejoins > 0) table_.count(&svc::ServiceStats::restarts);
   ring_.add(n.address);
   // Warm the (re)joined node with the full authoritative plan cache, so a
   // plan tuned anywhere is served from cache everywhere — including on a
   // node that was dead when the plan was first broadcast.
   for (const svc::PlanCache::Entry& e : plans_.entries()) {
-    std::uint64_t ver = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = plan_ver_by_key_.find(e.key.hash());
-      ver = it != plan_ver_by_key_.end() ? it->second : 0;
-    }
     if (!wire::write_frame(n.fd, wire::FrameType::kPlanPush,
-                           wire::plan_entry_to_json(e.key, e.plan, ver)))
+                           wire::plan_entry_to_json(e.key, e.plan, plan_version(e.key))))
       break;  // EOF will surface through the normal read path
   }
 }
@@ -414,13 +175,12 @@ void Router::on_result(NodeSlot& n, const std::string& payload) {
   svc::JobState state = svc::JobState::kFailed;
   svc::JobResult r;
   if (!wire::result_from_json(payload, &id, &state, &r)) return;
-  bool mine = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    mine = std::find(n.jobs.begin(), n.jobs.end(), id) != n.jobs.end();
+    const auto it = std::find(n.jobs.begin(), n.jobs.end(), id);
+    if (it == n.jobs.end()) return;  // stale frame from a previous assignment
+    n.jobs.erase(it);
   }
-  if (!mine) return;  // stale frame from a previous assignment
-
   // Integrity escalation: the node's in-process ladder gave up; its address
   // space is not trusted anymore. Fail the job over and recycle the
   // connection — the node re-dials through rejoin backoff, and placement
@@ -428,42 +188,20 @@ void Router::on_result(NodeSlot& n, const std::string& payload) {
   // operator or a per-machine supervisor owns that.)
   if (state == svc::JobState::kFailed &&
       r.error == fault::ErrorCode::kSdcDetected) {
-    bool exhausted = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.sdc_escalations;
-      const auto it = jobs_.find(id);
-      exhausted =
-          it == jobs_.end() || it->second->attempts >= opts_.max_job_attempts;
-      auto& v = n.jobs;
-      v.erase(std::remove(v.begin(), v.end(), id), v.end());
-      const auto jt = jobs_.find(id);
-      if (jt != jobs_.end() && jt->second->node == n.index)
-        jt->second->node = -1;
-    }
-    if (exhausted) {
-      record_terminal(id, state, r);
-    } else {
-      failover(id, "SDC escalation");
-    }
+    table_.count(&svc::ServiceStats::sdc_escalations);
+    table_.failover(id, "SDC escalation: " + r.message);
     node_down(n, true);  // expected: no death counters, immediate redial
     return;
   }
-  record_terminal(id, state, r);
+  table_.finish(id, state, r);
 }
 
 void Router::on_plan_pull(NodeSlot& n, const std::string& payload) {
   svc::PlanKey key;
   if (!wire::plan_key_from_json(payload, &key)) return;
   if (const auto plan = plans_.lookup(key)) {
-    std::uint64_t ver = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = plan_ver_by_key_.find(key.hash());
-      ver = it != plan_ver_by_key_.end() ? it->second : 0;
-    }
     wire::write_frame(n.fd, wire::FrameType::kPlanPush,
-                      wire::plan_entry_to_json(key, *plan, ver));
+                      wire::plan_entry_to_json(key, *plan, plan_version(key)));
   } else {
     // Explicit miss so the node's bounded wait ends now, not at timeout.
     std::string s = wire::plan_key_to_json(key);
@@ -480,14 +218,8 @@ void Router::on_plan_push(NodeSlot& n, const std::string& payload) {
   // First tune wins: if the key is already stamped, correct the sender with
   // the authoritative entry instead of forking plan history.
   if (const auto have = plans_.lookup(key)) {
-    std::uint64_t have_ver = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = plan_ver_by_key_.find(key.hash());
-      have_ver = it != plan_ver_by_key_.end() ? it->second : 0;
-    }
     wire::write_frame(n.fd, wire::FrameType::kPlanPush,
-                      wire::plan_entry_to_json(key, *have, have_ver));
+                      wire::plan_entry_to_json(key, *have, plan_version(key)));
     return;
   }
   std::uint64_t stamped = 0;
@@ -511,7 +243,7 @@ void Router::handle_frame(NodeSlot& n, std::uint32_t type,
       break;
     case wire::FrameType::kBeat: {
       std::int64_t p = 0;
-      const std::int64_t now = now_ns();
+      const std::int64_t now = steady_now_ns();
       std::lock_guard<std::mutex> lock(mu_);
       n.beat_ns = now;
       if (json::get_int(payload, "progress", &p) &&
@@ -559,35 +291,20 @@ void Router::node_down(NodeSlot& n, bool expected) {
     ::close(n.fd);
   }
   std::vector<std::uint64_t> lost;
-  bool poison = false;
-  svc::JobSpec poison_spec;
+  bool died = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const bool was_live = n.live;
+    // A post-hello connection loss is a node death; a connection that never
+    // said hello (silent dial, or a redial that raced the dying process's
+    // teardown and EOF'd immediately) is a failed dial — it advances the
+    // rejoin counter toward abandonment but must not inflate the death
+    // statistics.
+    died = n.live && !expected;
     n.fd = -1;
     n.live = false;
     n.acc.clear();
     lost.swap(n.jobs);
-    if (lost.size() == 1 && !expected) {
-      // Unambiguous poison attribution: exactly one job was in flight when
-      // the node died. With several in flight the signal is ambiguous and
-      // the breaker is not fed — a flaky node must not indict every tenant
-      // that happened to be scheduled on it.
-      const auto it = jobs_.find(lost.front());
-      if (it != jobs_.end() && !terminal(it->second->state)) {
-        poison = true;
-        poison_spec = it->second->spec;
-      }
-    }
-    if (!expected) {
-      // A post-hello connection loss is a node death; a connection that
-      // never said hello (silent dial, or a redial that raced the dying
-      // process's teardown and EOF'd immediately) is a failed dial — it
-      // advances the rejoin counter toward abandonment but must not
-      // inflate the death statistics.
-      if (was_live) ++stats_.worker_deaths;
-      ++n.rejoins;
-    }
+    if (!expected) ++n.rejoins;
     if (stopping_.load(std::memory_order_acquire)) {
       n.reconnect_at_ns = 0;
     } else if (n.rejoins > static_cast<std::uint64_t>(opts_.max_rejoins)) {
@@ -601,13 +318,17 @@ void Router::node_down(NodeSlot& n, bool expected) {
           n.rejoins > 0 ? static_cast<int>(n.rejoins - 1) : 0,
           static_cast<std::uint64_t>(n.index));
       n.reconnect_at_ns =
-          now_ns() +
+          steady_now_ns() +
           std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
     }
   }
   ring_.remove(n.address);
-  if (poison) governor_.note_poison(poison_spec, now_ns());
-  for (const std::uint64_t id : lost) failover(id, "node connection lost");
+  if (died) table_.count(&svc::ServiceStats::worker_deaths);
+  // Poison attribution only when exactly one job was in flight: with several
+  // the signal is ambiguous, and a flaky node must not indict every tenant
+  // that happened to be scheduled on it.
+  if (lost.size() == 1 && !expected) table_.note_poison(lost.front());
+  for (const std::uint64_t id : lost) table_.failover(id, "node connection lost");
 }
 
 void Router::try_connect(NodeSlot& n) {
@@ -619,7 +340,7 @@ void Router::try_connect(NodeSlot& n) {
     return;
   }
   const int fd = tcp_connect(host, port, opts_.connect_timeout_ms);
-  const std::int64_t now = now_ns();
+  const std::int64_t now = steady_now_ns();
   std::lock_guard<std::mutex> lock(mu_);
   if (fd < 0) {
     ++n.rejoins;
@@ -646,136 +367,64 @@ void Router::try_connect(NodeSlot& n) {
   // live stays false until the node's kHello confirms the protocol.
 }
 
-bool Router::place(std::uint64_t id) {
-  svc::JobSpec spec;
-  bool cancelled = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != svc::JobState::kQueued)
-      return true;  // already terminal/running; nothing to hold back
-    if (it->second->cancel_requested) {
-      it->second->cancel_requested = false;
-      cancelled = true;
-    }
-    spec = it->second->spec;
-  }
-  if (cancelled) {
-    svc::JobResult r;
-    r.message = "cancelled while queued";
-    record_terminal(id, svc::JobState::kCancelled, r);
-    return true;
-  }
-
-  // Strict shape affinity: the ring owner or nothing. Holding a job back
-  // until its owner has window room is what keeps repeat shapes on the node
-  // whose plan cache and warm grids already serve them.
-  const std::string owner = ring_.owner(spec.shape_key());
-  if (owner.empty()) return false;  // no live nodes yet
+Router::NodeSlot* Router::owner_with_room(std::uint64_t shape) {
+  const std::string owner = ring_.owner(shape);
+  if (owner.empty()) return nullptr;  // no live nodes yet
   NodeSlot* n = slot_by_address(owner);
-  if (n == nullptr || !n->live || n->fd < 0) return false;
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(n->jobs.size()) >= n->window) return false;
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != svc::JobState::kQueued)
-      return true;
-    JobRec& rec = *it->second;
-    rec.state = svc::JobState::kRunning;
-    rec.node = n->index;
-    rec.dispatch_ns = now_ns();
-    ++rec.attempts;
-    n->jobs.push_back(id);
-    if (n->jobs.size() == 1) n->progress_ns = now_ns();
-    spec = rec.spec;
-    governor_.note_started(rec.spec);
-  }
-
-  if (!wire::write_frame(n->fd, wire::FrameType::kSubmit,
-                         wire::spec_to_json(id, spec))) {
-    // Socket already broken: undo the assignment; the read path will see
-    // the EOF and the job fails over through the normal path.
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second->state == svc::JobState::kRunning) {
-      it->second->state = svc::JobState::kQueued;
-      it->second->node = -1;
-      retry_.push_back(id);
-      // Undo note_started too (as failover() does) or the tenant's running
-      // count leaks +1 every time — the next placement re-notes the start.
-      governor_.note_requeued(it->second->spec);
-    }
-    auto& v = n->jobs;
-    v.erase(std::remove(v.begin(), v.end(), id), v.end());
-  }
-  return true;
+  if (n == nullptr || !n->live || n->fd < 0) return nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(n->jobs.size()) < n->window ? n : nullptr;
 }
 
 void Router::dispatch() {
-  // Failed-over jobs first (their checkpoints are cooling), then jobs held
-  // back waiting for their owner's window, then fresh queue pops bounded by
-  // the cluster's free capacity.
-  std::deque<std::uint64_t> work;
+  // Failed-over and held-back jobs come first (their checkpoints are
+  // cooling), then fresh queue pops. Strict shape affinity: the ring owner
+  // or nothing. A job whose owner has no window room is held back — that is
+  // what keeps repeat shapes on the node whose plan cache and warm grids
+  // already serve them. Fresh pops stop once the round's claims reach the
+  // cluster's free capacity, so at most about that many jobs wait outside
+  // the queue: its capacity bound ("queue full") and its priority/DRR order
+  // keep holding when one owner is saturated.
   std::size_t free = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    work.swap(retry_);
-    for (const std::uint64_t id : holdback_) work.push_back(id);
-    holdback_.clear();
     for (const NodeSlot& n : slots_)
       if (n.live && static_cast<int>(n.jobs.size()) < n.window)
         free += static_cast<std::size_t>(n.window) - n.jobs.size();
   }
-  while (work.size() < free) {
-    const auto item = queue_.try_pop(0);
-    if (!item) break;
-    work.push_back(item->id);
-  }
-  std::deque<std::uint64_t> held;
-  for (const std::uint64_t id : work)
-    if (!place(id)) held.push_back(id);
-  if (!held.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = held.rbegin(); it != held.rend(); ++it)
-      holdback_.push_front(*it);
-  }
-}
-
-void Router::shed_expired_queued() {
-  const std::vector<std::uint64_t> expired = queue_.take_expired(now_ns());
-  for (const std::uint64_t id : expired) {
-    svc::JobSpec spec;
+  std::vector<std::uint64_t> held, broken;
+  std::size_t placed = 0;
+  const auto place = [&](const svc::JobTable::Job& claimed) {
+    NodeSlot* n = owner_with_room(claimed.spec.shape_key());
+    if (n == nullptr) {
+      held.push_back(claimed.id);
+      return;
+    }
+    const auto job = table_.start(claimed.id, n->index);
+    if (!job) return;  // cancelled or expired while queued
+    ++placed;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end() || terminal(it->second->state)) continue;
-      spec = it->second->spec;
-      ++stats_.shed_expired;
+      n->jobs.push_back(job->id);
+      if (n->jobs.size() == 1) n->progress_ns = steady_now_ns();
     }
-    governor_.note_shed(spec);
-    svc::JobResult r;
-    r.message = "deadline expired while queued; shed";
-    record_terminal(id, svc::JobState::kExpired, r);
+    if (!wire::write_frame(n->fd, wire::FrameType::kSubmit,
+                           wire::spec_to_json(job->id, job->spec))) {
+      // Socket already broken: undo the assignment; the read path will see
+      // the EOF. Requeued after this round, so it is not re-claimed here.
+      broken.push_back(job->id);
+      std::lock_guard<std::mutex> lock(mu_);
+      n->jobs.erase(std::find(n->jobs.begin(), n->jobs.end(), job->id));
+    }
+  };
+  while (const auto claimed = table_.next_retry()) place(*claimed);
+  while (placed + held.size() < free) {
+    const auto claimed = table_.next(0);
+    if (!claimed) break;
+    place(*claimed);
   }
-}
-
-void Router::fail_active_jobs(const char* why) {
-  std::vector<std::uint64_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, rec] : jobs_)
-      if (!terminal(rec->state)) ids.push_back(id);
-    retry_.clear();
-    holdback_.clear();
-  }
-  for (const std::uint64_t id : ids) {
-    queue_.remove(id);
-    svc::JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = why;
-    record_terminal(id, svc::JobState::kFailed, r);
-  }
+  for (const std::uint64_t id : broken) table_.requeue(id);
+  table_.hold(held);
 }
 
 void Router::monitor_loop() {
@@ -787,7 +436,7 @@ void Router::monitor_loop() {
 
     // Dial nodes that are due (initial connect and rejoin backoff).
     if (!stopping) {
-      const std::int64_t now = now_ns();
+      const std::int64_t now = steady_now_ns();
       for (NodeSlot& n : slots_) {
         bool due = false;
         {
@@ -836,7 +485,7 @@ void Router::monitor_loop() {
       if (down) node_down(n, n.drained || stopping);
     }
 
-    const std::int64_t now = now_ns();
+    const std::int64_t now = steady_now_ns();
 
     // A connection that never said hello within the dial timeout is dead.
     for (NodeSlot& n : slots_) {
@@ -859,9 +508,9 @@ void Router::monitor_loop() {
           std::lock_guard<std::mutex> lock(mu_);
           hung = n.live && !n.jobs.empty() &&
                  (now - n.progress_ns) / 1'000'000 > opts_.hang_ms;
-          if (hung) ++stats_.hang_kills;
         }
         if (hung) {
+          table_.count(&svc::ServiceStats::hang_kills);
           std::fprintf(stderr,
                        "s35-route: node %s hung (progress stale %d ms), "
                        "disconnecting\n",
@@ -871,69 +520,30 @@ void Router::monitor_loop() {
       }
     }
 
-    // Forward cancels for running jobs; cancel queued ones directly.
-    {
-      std::vector<std::pair<std::uint64_t, int>> running_cancels;
-      std::vector<std::uint64_t> queued_cancels;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto& [id, rec] : jobs_) {
-          if (!rec->cancel_requested || terminal(rec->state)) continue;
-          if (rec->state == svc::JobState::kRunning && rec->node >= 0) {
-            running_cancels.emplace_back(id, rec->node);
-            rec->cancel_requested = false;
-          } else if (rec->state == svc::JobState::kQueued) {
-            queued_cancels.push_back(id);
-            rec->cancel_requested = false;
-          }
-        }
-      }
-      for (const auto& [id, slot] : running_cancels) {
-        const NodeSlot& n = slots_[static_cast<std::size_t>(slot)];
-        if (n.live && n.fd >= 0)
-          wire::write_frame(n.fd, wire::FrameType::kCancel,
-                            "{\"job\":" + std::to_string(id) + "}");
-      }
-      for (const std::uint64_t id : queued_cancels) {
-        bool held = queue_.remove(id);
-        if (!held) {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = std::find(holdback_.begin(), holdback_.end(), id);
-          if (it != holdback_.end()) {
-            holdback_.erase(it);
-            held = true;
-          }
-        }
-        if (held) {
-          svc::JobResult r;
-          r.message = "cancelled while queued";
-          record_terminal(id, svc::JobState::kCancelled, r);
-        } else {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = jobs_.find(id);
-          if (it != jobs_.end() &&
-              it->second->state == svc::JobState::kQueued)
-            it->second->cancel_requested = true;  // retry_ entry; re-checked
-        }
-      }
+    // Forward cancels of running jobs (queued ones ended at cancel()).
+    for (const auto& [id, slot] : table_.take_cancels()) {
+      const NodeSlot& n = slots_[static_cast<std::size_t>(slot)];
+      if (n.live && n.fd >= 0)
+        wire::write_frame(n.fd, wire::FrameType::kCancel,
+                          "{\"job\":" + std::to_string(id) + "}");
     }
 
-    if (!stopping) shed_expired_queued();
-    if (!stopping) dispatch();
+    if (!stopping) {
+      table_.shed_expired();
+      dispatch();
+    }
 
     // No execution capacity left? Fail what remains instead of hanging
     // clients forever.
     {
       bool any_capacity = false;
-      std::size_t active = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
         for (const NodeSlot& n : slots_)
           if (!n.abandoned) any_capacity = true;
-        active = active_jobs_;
       }
-      if (!any_capacity && active > 0)
-        fail_active_jobs("no reachable nodes remain (all abandoned)");
+      if (!any_capacity && table_.active() > 0)
+        table_.fail_active("no reachable nodes remain (all abandoned)");
     }
 
     if (stopping) {
@@ -943,8 +553,8 @@ void Router::monitor_loop() {
       for (NodeSlot& n : slots_)
         if (n.live && n.fd >= 0)
           wire::write_frame(n.fd, wire::FrameType::kDrain, "{}");
-      const std::int64_t deadline = now_ns() + 1'000'000'000ll;  // 1 s
-      while (now_ns() < deadline) {
+      const std::int64_t deadline = steady_now_ns() + 1'000'000'000ll;  // 1 s
+      while (steady_now_ns() < deadline) {
         bool pending = false;
         for (NodeSlot& n : slots_) {
           if (n.fd < 0 || !n.live) continue;
@@ -969,17 +579,11 @@ void Router::monitor_loop() {
 }
 
 void Router::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  draining_.store(true, std::memory_order_release);
-  queue_.close();  // stops admission; queued items stay dispatchable
+  if (!table_.close()) return;  // stops admission; queued jobs stay dispatchable
   wake();
   // Graceful drain: every accepted job reaches a terminal state while the
   // monitor keeps dispatching, failing over, and redialing nodes.
-  drain(-1);
+  table_.drain(-1);
   stopping_.store(true, std::memory_order_release);
   wake();
   if (monitor_.joinable()) monitor_.join();
@@ -994,7 +598,7 @@ void Router::shutdown() {
 #else  // !__unix__
 
 Router::Router(RouterOptions options)
-    : opts_(std::move(options)), queue_(1), plans_(1), ring_(1) {
+    : opts_(std::move(options)), table_(table_options(opts_)), plans_(1), ring_(1) {
   std::fprintf(stderr, "s35-route: cluster routing requires POSIX\n");
 }
 Router::~Router() = default;
@@ -1003,13 +607,6 @@ fault::Expected<std::uint64_t> Router::submit(const svc::JobSpec&) {
                        "cluster routing requires POSIX");
 }
 bool Router::cancel(std::uint64_t) { return false; }
-std::optional<svc::JobInfo> Router::info(std::uint64_t) const {
-  return std::nullopt;
-}
-std::optional<svc::JobInfo> Router::wait(std::uint64_t, std::int64_t) {
-  return std::nullopt;
-}
-bool Router::drain(std::int64_t) { return true; }
 svc::ServiceStats Router::stats() const { return {}; }
 void Router::shutdown() {}
 void Router::monitor_loop() {}
@@ -1020,17 +617,13 @@ void Router::on_result(NodeSlot&, const std::string&) {}
 void Router::on_plan_pull(NodeSlot&, const std::string&) {}
 void Router::on_plan_push(NodeSlot&, const std::string&) {}
 void Router::node_down(NodeSlot&, bool) {}
-void Router::failover(std::uint64_t, const char*) {}
 void Router::dispatch() {}
-bool Router::place(std::uint64_t) { return true; }
-void Router::record_terminal(std::uint64_t, svc::JobState,
-                             const svc::JobResult&) {}
-void Router::fail_active_jobs(const char*) {}
-void Router::shed_expired_queued() {}
+Router::NodeSlot* Router::owner_with_room(std::uint64_t) { return nullptr; }
 void Router::wake() {}
 Router::NodeSlot* Router::slot_by_address(const std::string&) {
   return nullptr;
 }
+std::uint64_t Router::plan_version(const svc::PlanKey&) const { return 0; }
 
 #endif
 

@@ -35,16 +35,14 @@
 // explicit miss. First tune wins: a second node racing the same key gets
 // the already-stamped entry back instead of forking plan history.
 //
-// Admission (tenant quotas, DRR fairness, brownout, poison quarantine) is
-// enforced at this edge via the same TenantGovernor the other planes use;
-// nodes receive only admitted, checkpoint-annotated specs.
+// Admission (tenant quotas, DRR fairness, brownout, poison quarantine),
+// terminals, failover and retention run on the same JobTable (job_table.h)
+// the other planes use; nodes receive only admitted, checkpoint-annotated
+// specs.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -57,8 +55,8 @@
 #include "fault/status.h"
 #include "service/backend.h"
 #include "service/job.h"
+#include "service/job_table.h"
 #include "service/plan_cache.h"
-#include "service/queue.h"
 #include "service/tenancy.h"
 
 namespace s35::cluster {
@@ -80,9 +78,8 @@ struct RouterOptions {
   int checkpoint_every = 1;
   std::size_t queue_capacity = 64;
   long max_points = 16L * 1024 * 1024;
-  // Terminal JobRecs kept queryable via info()/wait(); older ones (and
-  // their on-disk checkpoints) are dropped so a long-lived router does not
-  // grow without bound per submitted job.
+  // Terminal job records kept queryable via info()/wait(); older ones are
+  // erased so a long-lived router does not grow per submitted job.
   std::size_t terminal_retention = 4096;
   service::TenancyOptions tenancy;
   // Authoritative plan cache (replicated to nodes).
@@ -107,10 +104,14 @@ class Router : public service::JobBackend {
 
   fault::Expected<std::uint64_t> submit(const service::JobSpec& spec) override;
   bool cancel(std::uint64_t id) override;
-  std::optional<service::JobInfo> info(std::uint64_t id) const override;
+  std::optional<service::JobInfo> info(std::uint64_t id) const override {
+    return table_.info(id);
+  }
   std::optional<service::JobInfo> wait(std::uint64_t id,
-                                       std::int64_t timeout_ms = -1) override;
-  bool drain(std::int64_t timeout_ms = -1) override;
+                                       std::int64_t timeout_ms = -1) override {
+    return table_.wait(id, timeout_ms);
+  }
+  bool drain(std::int64_t timeout_ms = -1) override { return table_.drain(timeout_ms); }
   // Supervision fields are reused one level up: workers = configured nodes,
   // worker_deaths = node connection losses, restarts = successful rejoins.
   service::ServiceStats stats() const override;
@@ -141,17 +142,6 @@ class Router : public service::JobBackend {
     std::int64_t dial_ns = 0;          // when the current fd was connected
   };
 
-  struct JobRec {
-    service::JobSpec spec;
-    service::JobState state = service::JobState::kQueued;
-    service::JobResult result;
-    int attempts = 0;
-    bool cancel_requested = false;
-    std::int64_t submit_ns = 0;
-    std::int64_t dispatch_ns = 0;
-    int node = -1;  // slot index while running
-  };
-
   void monitor_loop();
   void try_connect(NodeSlot& n);
   void handle_frame(NodeSlot& n, std::uint32_t type, const std::string& payload);
@@ -160,40 +150,25 @@ class Router : public service::JobBackend {
   void on_plan_pull(NodeSlot& n, const std::string& payload);
   void on_plan_push(NodeSlot& n, const std::string& payload);
   void node_down(NodeSlot& n, bool expected);
-  void failover(std::uint64_t id, const char* why);
   void dispatch();
-  bool place(std::uint64_t id);  // false = no capacity yet, held back
-  void record_terminal(std::uint64_t id, service::JobState state,
-                       const service::JobResult& r);
-  void fail_active_jobs(const char* why);
-  void shed_expired_queued();
+  // The live ring owner of `shape` when it has window room, else nullptr.
+  NodeSlot* owner_with_room(std::uint64_t shape);
   void wake();
   NodeSlot* slot_by_address(const std::string& address);
+  std::uint64_t plan_version(const service::PlanKey& key) const;
 
   RouterOptions opts_;
-  service::BoundedJobQueue queue_;
-  service::TenantGovernor governor_;
+  service::JobTable table_;
   service::PlanCache plans_;  // authoritative; replicated to nodes
   HashRing ring_;             // live nodes only; monitor thread mutates
   std::vector<NodeSlot> slots_;
   int wake_fds_[2] = {-1, -1};
 
-  mutable std::mutex mu_;  // jobs_, retry_, holdback_, stats, slot metadata
-  std::condition_variable jobs_cv_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
-  std::deque<std::uint64_t> terminal_order_;  // terminal ids, oldest first
-  std::deque<std::uint64_t> retry_;     // failed-over jobs, dispatched first
-  std::deque<std::uint64_t> holdback_;  // popped but owner at capacity
-  std::uint64_t next_id_ = 1;
-  std::uint64_t active_jobs_ = 0;
+  mutable std::mutex mu_;  // slot metadata, plan versions
   std::uint64_t plan_ver_ = 0;  // replication version stamp, monotonic
   std::unordered_map<std::uint64_t, std::uint64_t> plan_ver_by_key_;
 
-  service::ServiceStats stats_;
-
-  std::atomic<bool> draining_{false};
   std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;  // guarded by mu_
   std::thread monitor_;
 };
 

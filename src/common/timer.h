@@ -6,6 +6,13 @@
 
 namespace s35 {
 
+// Steady-clock nanoseconds since an arbitrary epoch: deadlines, heartbeats.
+inline std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}

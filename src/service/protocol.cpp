@@ -1,7 +1,6 @@
 #include "service/protocol.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <istream>
 #include <optional>
@@ -9,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/timer.h"
 #include "service/json.h"
 
 #ifdef __unix__
@@ -257,12 +257,6 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // Processes buffered complete lines for one client until input runs dry, a
 // blocking op parks, or shutdown. Returns false on unrecoverable protocol
 // state (never currently — errors respond in-band).
@@ -286,7 +280,7 @@ void process_lines(JobBackend& svc, Client& c, bool* shutdown) {
       std::int64_t timeout_ms = -1;
       get_int(line, "timeout_ms", &timeout_ms);
       Pending p;
-      p.deadline_ns = timeout_ms < 0 ? -1 : steady_ns() + timeout_ms * 1'000'000;
+      p.deadline_ns = timeout_ms < 0 ? -1 : steady_now_ns() + timeout_ms * 1'000'000;
       if (op == "wait") {
         std::int64_t id = 0;
         if (!get_int(line, "id", &id) || id <= 0) {
@@ -313,7 +307,7 @@ bool check_pending(JobBackend& svc, Client& c) {
   if (p.kind == Pending::kDrain) {
     if (svc.drain(0)) {
       c.out += "{\"ok\":true}\n";
-    } else if (p.deadline_ns >= 0 && steady_ns() > p.deadline_ns) {
+    } else if (p.deadline_ns >= 0 && steady_now_ns() > p.deadline_ns) {
       c.out += error_response("unavailable", "drain timeout") + "\n";
     } else {
       return false;
@@ -326,7 +320,7 @@ bool check_pending(JobBackend& svc, Client& c) {
     c.out += error_response("unavailable", "timeout or unknown id") + "\n";
   } else if (info->state != JobState::kQueued && info->state != JobState::kRunning) {
     c.out += job_response(*info) + "\n";
-  } else if (p.deadline_ns >= 0 && steady_ns() > p.deadline_ns) {
+  } else if (p.deadline_ns >= 0 && steady_now_ns() > p.deadline_ns) {
     c.out += error_response("unavailable", "timeout or unknown id") + "\n";
   } else {
     return false;
@@ -510,8 +504,8 @@ int serve_unix(JobBackend& svc, const std::string& path,
   // breaking out of the poll loop skips the opportunistic flush, and a
   // client blocked on its response would otherwise see a bare EOF.
   for (Client& c : clients) {
-    const std::int64_t deadline = steady_ns() + 250'000'000;
-    while (c.fd >= 0 && !c.out.empty() && steady_ns() < deadline) {
+    const std::int64_t deadline = steady_now_ns() + 250'000'000;
+    while (c.fd >= 0 && !c.out.empty() && steady_now_ns() < deadline) {
       const ssize_t w = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
       if (w > 0) {
         c.out.erase(0, static_cast<std::size_t>(w));

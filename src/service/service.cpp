@@ -19,76 +19,15 @@ namespace s35::service {
 
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-bool known_kernel(const std::string& k) { return k == "7pt" || k == "27pt"; }
-
-constexpr std::size_t kMaxTenantChars = 64;
-
-bool valid_tenant_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-         c == '_' || c == '.' || c == ':' || c == '-';
+JobTableOptions table_options(const ServiceOptions& o) {
+  JobTableOptions t;
+  t.max_points = o.max_points;
+  t.queue_capacity = o.queue_capacity;
+  t.tenancy = o.tenancy;
+  return t;
 }
 
 }  // namespace
-
-fault::Status validate_spec(const JobSpec& spec, long max_points) {
-  if (!known_kernel(spec.kernel))
-    return {fault::ErrorCode::kMismatch, "unknown kernel '" + spec.kernel + "'"};
-  const long ny = spec.eff_ny(), nz = spec.eff_nz();
-  if (spec.nx < 8 || ny < 8 || nz < 8)
-    return {fault::ErrorCode::kMismatch, "grid dims must be >= 8"};
-  if (spec.nx * ny * nz > max_points)
-    return {fault::ErrorCode::kMismatch, "grid exceeds max_points"};
-  if (spec.steps < 1 || spec.steps > 1'000'000)
-    return {fault::ErrorCode::kMismatch, "steps out of range"};
-  if (spec.dim_x < 0 || spec.dim_y < 0 || spec.dim_t < 0)
-    return {fault::ErrorCode::kMismatch, "negative blocking dims"};
-  if ((spec.dim_x > 0) != (spec.dim_y > 0))
-    return {fault::ErrorCode::kMismatch, "dim_x/dim_y must be overridden together"};
-  if (spec.schedule != "auto") {
-    core::ScheduleFamily f;
-    if (!core::parse_schedule_family(spec.schedule, &f))
-      return {fault::ErrorCode::kMismatch,
-              "unknown schedule '" + spec.schedule + "'"};
-  }
-  if (spec.audit_rate < 0.0 || spec.audit_rate > 1.0)
-    return {fault::ErrorCode::kMismatch, "audit_rate outside [0,1]"};
-  if (spec.tenant.size() > kMaxTenantChars)
-    return {fault::ErrorCode::kMismatch, "tenant name exceeds 64 chars"};
-  for (const char c : spec.tenant) {
-    if (!valid_tenant_char(c))
-      return {fault::ErrorCode::kMismatch,
-              "tenant name must match [A-Za-z0-9_.:-]"};
-  }
-  if (spec.tenant_weight < 0 || spec.tenant_weight > 16)
-    return {fault::ErrorCode::kMismatch, "tenant weight outside [0,16]"};
-  if (spec.resume && spec.checkpoint_path.empty())
-    return {fault::ErrorCode::kMismatch, "resume requires a checkpoint_path"};
-  return {};
-}
-
-const char* to_string(JobState s) {
-  switch (s) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kDone:
-      return "done";
-    case JobState::kFailed:
-      return "failed";
-    case JobState::kCancelled:
-      return "cancelled";
-    case JobState::kExpired:
-      return "expired";
-  }
-  return "?";
-}
 
 ServiceOptions ServiceOptions::from_env() {
   ServiceOptions o;
@@ -115,14 +54,13 @@ ServiceOptions ServiceOptions::from_env() {
 JobService::JobService(ServiceOptions options)
     : opts_(std::move(options)),
       plan_cache_(opts_.plan_cache_entries),
-      queue_(opts_.queue_capacity) {
+      table_(table_options(opts_)) {
   if (opts_.threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     opts_.threads = hw > 0 ? static_cast<int>(hw) : 1;
   }
   if (opts_.mach.name.empty()) opts_.mach = machine::host();
   if (opts_.max_dim_t < 1) opts_.max_dim_t = 1;
-  governor_.configure(opts_.tenancy);
   engine_ = std::make_unique<core::Engine35>(opts_.threads);
   if (!opts_.plan_cache_path.empty()) {
     // A missing or damaged cache file only costs a re-tune; never fatal.
@@ -136,175 +74,16 @@ JobService::JobService(ServiceOptions options)
 
 JobService::~JobService() { shutdown(); }
 
-fault::Expected<std::uint64_t> JobService::submit(const JobSpec& spec) {
-  if (const fault::Status st = validate_spec(spec, opts_.max_points); !st.ok()) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rejected;
-    return st;
-  }
-  // Eager deadline shedding: dead jobs must not consume the admission
-  // capacity this submission is competing for.
-  shed_expired_jobs();
-
-  const double cost = predicted_job_cost(spec);
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (shut_down_ || queue_.closed()) {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable, "service shut down");
-    }
-    const std::int64_t now = now_ns();
-    if (const AdmitDecision d =
-            governor_.admit(spec, cost, queue_.size(), queue_.capacity(), now);
-        !d.ok()) {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "tenant admission rejected", d.retry_after_ms));
-    }
-    id = next_id_++;
-    auto rec = std::make_unique<JobRec>();
-    rec->spec = spec;
-    rec->submit_ns = now;
-    if (spec.deadline_ms > 0)
-      rec->deadline_ns = rec->submit_ns + spec.deadline_ms * 1'000'000;
-    jobs_[id] = std::move(rec);
-    ++active_jobs_;
-    QueueItem item{id,   spec.priority,     id,   spec.shape_key(),
-                   spec.tenant_key(),
-                   static_cast<std::uint32_t>(spec.eff_weight()),
-                   cost, jobs_[id]->deadline_ns};
-    if (!queue_.try_push(item)) {
-      jobs_.erase(id);
-      --active_jobs_;
-      const AdmitDecision d = governor_.queue_full(spec, cost, now);
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "queue full", d.retry_after_ms));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.submitted;
-  }
-  return id;
-}
-
-bool JobService::cancel(std::uint64_t id) {
-  JobRec* rec = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return false;
-    rec = it->second.get();
-    if (rec->state != JobState::kQueued && rec->state != JobState::kRunning)
-      return false;
-    rec->cancel.store(true, std::memory_order_release);
-  }
-  // Still queued: try to pull it out before the worker does. If the worker
-  // wins the race it observes the cancel flag instead.
-  if (queue_.remove(id)) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      rec->result.message = "cancelled while queued";
-    }
-    finish(id, *rec, JobState::kCancelled);
-  }
-  return true;
-}
-
-std::optional<JobInfo> JobService::info(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(jobs_mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
-}
-
-std::optional<JobInfo> JobService::wait(std::uint64_t id, std::int64_t timeout_ms) {
-  const auto terminal = [](JobState s) {
-    return s != JobState::kQueued && s != JobState::kRunning;
-  };
-  std::unique_lock<std::mutex> lock(jobs_mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobRec* rec = it->second.get();
-  const auto pred = [&] { return terminal(rec->state); };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-  } else if (!jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred)) {
-    return std::nullopt;
-  }
-  JobInfo out;
-  out.id = id;
-  out.state = rec->state;
-  out.spec = rec->spec;
-  out.result = rec->result;
-  return out;
-}
-
-bool JobService::drain(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(jobs_mu_);
-  const auto pred = [&] { return active_jobs_ == 0; };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-    return true;
-  }
-  return jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred);
-}
-
-void JobService::set_paused(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    paused_ = paused;
-  }
-  // Gate the queue too: a worker already blocked inside pop_wait must not
-  // pop the next submission while paused — tests rely on pausing *before*
-  // submitting to stack the queue deterministically.
-  queue_.set_gate(paused);
-  pause_cv_.notify_all();
-}
-
 JobService::Stats JobService::stats() const {
-  Stats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  out.queue_depth = queue_.size();
-  out.plan_hits = plan_cache_.hits();
-  out.plan_misses = plan_cache_.misses();
+  Stats out = table_.stats();
   out.threads = opts_.threads;
-  out.tenancy = governor_.enabled();
-  out.quarantined = governor_.quarantined_total();
-  out.quarantine_trips = governor_.quarantine_trips();
-  out.tenants = governor_.snapshot();
-  if (!out.tenants.empty()) {
-    for (const auto& [tenant, deficit] : queue_.drr_snapshot())
-      for (TenantCounters& c : out.tenants)
-        if (c.key == tenant) c.deficit = deficit;
-  }
   return out;
 }
 
 void JobService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  stopping_.store(true, std::memory_order_release);
-  set_paused(false);
-  queue_.close();  // worker drains what is queued, then pop returns nullopt
+  // Stops admission; the worker drains what is queued, then next() returns
+  // nullopt (closing overrides a pause).
+  if (!table_.close()) return;
   if (worker_.joinable()) worker_.join();
   watchdog_.disarm();
   if (!opts_.plan_cache_path.empty()) {
@@ -317,65 +96,24 @@ void JobService::shutdown() {
 
 void JobService::worker_loop() {
   std::uint64_t affinity = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pause_mu_);
-      pause_cv_.wait(lock, [&] {
-        return !paused_ || stopping_.load(std::memory_order_acquire);
-      });
+  while (const auto claimed = table_.next(affinity, /*block=*/true)) {
+    // start() realizes a cancel or deadline that landed while queued.
+    if (const auto job = table_.start(claimed->id, 0)) {
+      execute(*job);
+      affinity = job->spec.shape_key();
     }
-    const auto item = queue_.pop_wait(affinity);
-    if (!item) return;  // closed and drained
-    JobRec* rec = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      const auto it = jobs_.find(item->id);
-      if (it != jobs_.end() && it->second->state == JobState::kQueued)
-        rec = it->second.get();
-    }
-    if (rec == nullptr) continue;  // lost a cancel race after remove()
-    execute(item->id, *rec);
-    affinity = rec->spec.shape_key();
     // Jobs whose deadline passed while this one ran die now, not at pop.
-    shed_expired_jobs();
+    table_.shed_expired();
   }
 }
 
-void JobService::execute(std::uint64_t id, JobRec& rec) {
-  const std::int64_t start = now_ns();
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    rec.result.wait_s = static_cast<double>(start - rec.submit_ns) * 1e-9;
-  }
-
-  if (rec.cancel.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      rec.result.message = "cancelled while queued";
-    }
-    finish(id, rec, JobState::kCancelled);
-    return;
-  }
-  if (rec.deadline_ns != 0 && start > rec.deadline_ns) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      rec.result.message = "deadline expired before start";
-    }
-    finish(id, rec, JobState::kExpired);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    rec.state = JobState::kRunning;
-  }
-  governor_.note_started(rec.spec);
-
+void JobService::execute(const JobTable::Job& job) {
   JobResult out;
-  out.wait_s = static_cast<double>(start - rec.submit_ns) * 1e-9;
-  const fault::Status st = run_job(rec.spec, rec, out);
+  out.wait_s = job.wait_s;
+  const fault::Status st = run_job(job, out);
 
   JobState state = JobState::kDone;
-  if (rec.cancel.load(std::memory_order_acquire)) {
+  if (table_.cancel_requested(job.id)) {
     state = JobState::kCancelled;
     out.message =
         "cancelled mid-run after " + std::to_string(out.steps_done) + " steps";
@@ -383,19 +121,16 @@ void JobService::execute(std::uint64_t id, JobRec& rec) {
     state = JobState::kFailed;
     out.error = st.code();
     out.message = st.message();
-  } else if (out.steps_done < rec.spec.steps) {
+  } else if (out.steps_done < job.spec.steps) {
     state = JobState::kExpired;
     out.message =
         "deadline expired mid-run after " + std::to_string(out.steps_done) + " steps";
   }
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    rec.result = out;
-  }
-  finish(id, rec, state);
+  table_.finish(job.id, state, out);
 }
 
-fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& out) {
+fault::Status JobService::run_job(const JobTable::Job& job, JobResult& out) {
+  const JobSpec& spec = job.spec;
   const machine::KernelSig sig =
       spec.kernel == "27pt" ? machine::twenty_seven_point() : machine::seven_point();
   const long nx = spec.nx, ny = spec.eff_ny(), nz = spec.eff_nz();
@@ -533,8 +268,8 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
   // call with all steps — and gives us a safe cancellation/deadline check
   // between passes (a pass is never torn).
   while (done < spec.steps) {
-    if (rec.cancel.load(std::memory_order_acquire)) break;
-    if (rec.deadline_ns != 0 && now_ns() > rec.deadline_ns) break;
+    if (table_.cancel_requested(job.id)) break;
+    if (job.deadline_ns != 0 && steady_now_ns() > job.deadline_ns) break;
     const int chunk = std::min(dim_t, spec.steps - done);
     if (spec.audit && spec.kernel == "27pt") {
       st = run_sweep_verified_auto(stencil::Variant::kBlocked35D,
@@ -565,7 +300,7 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
         ++out.checkpoints;
     }
     if (opts_.pass_hook) {
-      st = opts_.pass_hook(spec, done);
+      st = opts_.pass_hook(job.id, spec, done);
       if (!st.ok()) break;
     }
   }
@@ -582,10 +317,8 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
   out.audited_rows = monitor.audited_rows();
   out.sdc_detected = monitor.sdc_detected();
   out.reexecs = monitor.reexecs();
-  if (monitor.stalls() > 0) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.watchdog_stalls += monitor.stalls();
-  }
+  if (monitor.stalls() > 0)
+    table_.count(&ServiceStats::watchdog_stalls, monitor.stalls());
 
   if (st.ok() && done == spec.steps) {
     std::uint32_t crc = 0;
@@ -597,63 +330,6 @@ fault::Status JobService::run_job(const JobSpec& spec, JobRec& rec, JobResult& o
     out.crc = crc;
   }
   return st;
-}
-
-void JobService::finish(std::uint64_t id, JobRec& rec, JobState state) {
-  (void)id;
-  // Stats first: a client whose wait() returns must already see this job in
-  // the counters.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    switch (state) {
-      case JobState::kDone:
-        ++stats_.completed;
-        break;
-      case JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case JobState::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case JobState::kExpired:
-        ++stats_.expired;
-        break;
-      default:
-        break;
-    }
-    if (rec.result.batched) ++stats_.batched;
-    stats_.total_wait_s += rec.result.wait_s;
-    stats_.total_run_s += rec.result.run_s;
-  }
-  bool was_running = false;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    was_running = rec.state == JobState::kRunning;
-    rec.state = state;
-    --active_jobs_;
-  }
-  governor_.note_finished(rec.spec, was_running, state);
-  jobs_cv_.notify_all();
-}
-
-void JobService::shed_expired_jobs() {
-  const std::vector<std::uint64_t> expired = queue_.take_expired(now_ns());
-  for (const std::uint64_t id : expired) {
-    JobRec* rec = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end() || it->second->state != JobState::kQueued) continue;
-      rec = it->second.get();
-      rec->result.message = "deadline expired while queued; shed";
-    }
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.shed_expired;
-    }
-    governor_.note_shed(rec->spec);
-    finish(id, *rec, JobState::kExpired);
-  }
 }
 
 }  // namespace s35::service

@@ -5,8 +5,9 @@
 // grids into place — all before the first useful update. The service keeps
 // those assets resident and multiplexes jobs over them:
 //
-//   * a bounded priority queue (queue.h) provides admission control,
-//     backpressure, per-job deadlines and cancellation;
+//   * the job table (job_table.h) provides admission control over a
+//     bounded priority queue, per-job deadlines, cancellation and the
+//     terminal bookkeeping every backend shares;
 //   * a plan cache (plan_cache.h) memoizes autotuner/planner output, with
 //     optional on-disk persistence across restarts;
 //   * one warm core::Engine35 (its parallel::ThreadTeam never respawns) runs
@@ -23,16 +24,12 @@
 // uses every configured core.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "core/engine.h"
 #include "fault/status.h"
@@ -41,8 +38,8 @@
 #include "machine/descriptor.h"
 #include "service/backend.h"
 #include "service/job.h"
+#include "service/job_table.h"
 #include "service/plan_cache.h"
-#include "service/queue.h"
 
 namespace s35::service {
 
@@ -63,13 +60,14 @@ struct ServiceOptions {
   TenancyOptions tenancy;
 
   // Pass-boundary hook, called after every completed blocked pass (and any
-  // checkpoint save for that pass) with the job's spec and the number of
-  // steps completed so far. A non-ok return fails the job with that status.
-  // The supervised worker uses this to publish liveness progress and to
-  // evaluate injected process faults; the checkpoint-before-hook ordering
-  // guarantees a kill fired at pass p leaves the pass-p checkpoint behind
-  // for failover.
-  std::function<fault::Status(const JobSpec& spec, int steps_done)> pass_hook;
+  // checkpoint save for that pass) with the job's id and spec and the
+  // number of steps completed so far. A non-ok return fails the job with
+  // that status. The frame executor (executor.h) uses this to publish
+  // liveness progress and to evaluate injected process faults; the
+  // checkpoint-before-hook ordering guarantees a kill fired at pass p
+  // leaves the pass-p checkpoint behind for failover.
+  std::function<fault::Status(std::uint64_t job, const JobSpec& spec, int steps_done)>
+      pass_hook;
 
   // Cluster plan replication (cluster/node.h). On a local plan-cache miss,
   // plan_fetch may produce the plan from elsewhere (the shard router's
@@ -99,27 +97,33 @@ class JobService : public JobBackend {
   // Admission: validates the spec (known kernel, sane dims, points cap) and
   // enqueues. Fails with kMismatch on an invalid spec, kUnavailable when the
   // queue is full or the service is shutting down. Returns the job id.
-  fault::Expected<std::uint64_t> submit(const JobSpec& spec) override;
+  fault::Expected<std::uint64_t> submit(const JobSpec& spec) override {
+    return table_.submit(spec);
+  }
 
   // Cancels a job: removed from the queue when still queued; when running,
   // the worker observes the flag at the next pass boundary (results stay
   // bit-exact — passes are never torn). False if already terminal/unknown.
-  bool cancel(std::uint64_t id) override;
+  bool cancel(std::uint64_t id) override { return table_.cancel(id); }
 
-  // Snapshot of a job; nullopt for unknown ids.
-  std::optional<JobInfo> info(std::uint64_t id) const override;
+  // Snapshot of a job; nullopt for unknown (or retention-evicted) ids.
+  std::optional<JobInfo> info(std::uint64_t id) const override {
+    return table_.info(id);
+  }
 
   // Blocks until the job reaches a terminal state (timeout_ms < 0 = forever).
   // nullopt on timeout or unknown id.
   std::optional<JobInfo> wait(std::uint64_t id,
-                              std::int64_t timeout_ms = -1) override;
+                              std::int64_t timeout_ms = -1) override {
+    return table_.wait(id, timeout_ms);
+  }
 
   // Blocks until every submitted job is terminal. False on timeout.
-  bool drain(std::int64_t timeout_ms = -1) override;
+  bool drain(std::int64_t timeout_ms = -1) override { return table_.drain(timeout_ms); }
 
   // Pauses/resumes the worker *between* jobs — tests use this to stack the
   // queue deterministically before anything runs.
-  void set_paused(bool paused);
+  void set_paused(bool paused) { table_.set_gate(paused); }
 
   // The shared backend stats type (backend.h); supervision fields stay zero
   // for the in-process service.
@@ -134,49 +138,20 @@ class JobService : public JobBackend {
   void shutdown() override;
 
  private:
-  struct JobRec {
-    JobSpec spec;
-    JobState state = JobState::kQueued;
-    JobResult result;
-    std::atomic<bool> cancel{false};
-    std::int64_t submit_ns = 0;    // steady_clock, for wait_s
-    std::int64_t deadline_ns = 0;  // 0 = none
-  };
-
   void worker_loop();
-  void execute(std::uint64_t id, JobRec& rec);
-  fault::Status run_job(const JobSpec& spec, JobRec& rec, JobResult& out);
-  void finish(std::uint64_t id, JobRec& rec, JobState state);
-  // Realizes kExpired for queued jobs whose deadline already passed. Called
-  // with no service locks held (finish() takes them internally).
-  void shed_expired_jobs();
+  void execute(const JobTable::Job& job);
+  fault::Status run_job(const JobTable::Job& job, JobResult& out);
 
   ServiceOptions opts_;
   std::unique_ptr<core::Engine35> engine_;
   PlanCache plan_cache_;
-  BoundedJobQueue queue_;
+  JobTable table_;
   integrity::Watchdog watchdog_;
-  TenantGovernor governor_;
-
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;  // signaled on any terminal transition
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t active_jobs_ = 0;  // queued + running
-
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;
-  bool paused_ = false;
 
   // Warm buffer pool: the last job's grids, reused when shapes match.
   std::unique_ptr<grid::GridPair<float>> pool_;
   std::uint64_t pool_shape_ = 0;
 
-  mutable std::mutex stats_mu_;
-  Stats stats_;
-
-  std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;  // guarded by jobs_mu_
   std::thread worker_;
 };
 

@@ -6,9 +6,10 @@
 #include <cstring>
 
 #include "common/env.h"
+#include "common/timer.h"
+#include "service/executor.h"
 #include "service/json.h"
 #include "service/wire.h"
-#include "service/worker.h"
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -25,14 +26,15 @@ namespace s35::service {
 
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-bool terminal(JobState s) {
-  return s != JobState::kQueued && s != JobState::kRunning;
+JobTableOptions table_options(const SupervisorOptions& o) {
+  JobTableOptions t;
+  t.max_points = o.max_points;
+  t.queue_capacity = o.queue_capacity;
+  t.tenancy = o.tenancy;
+  t.checkpoint_dir = o.checkpoint_dir;
+  t.checkpoint_every = o.checkpoint_every;
+  t.max_attempts = o.max_job_attempts;
+  return t;
 }
 
 }  // namespace
@@ -60,11 +62,9 @@ SupervisorOptions SupervisorOptions::from_env() {
 #ifdef __unix__
 
 Supervisor::Supervisor(SupervisorOptions options)
-    : opts_(std::move(options)), queue_(std::max<std::size_t>(1, opts_.queue_capacity)) {
+    : opts_(std::move(options)), table_(table_options(opts_)) {
   if (opts_.workers < 1) opts_.workers = 1;
   if (opts_.beat_ms < 5) opts_.beat_ms = 5;
-  if (opts_.checkpoint_every < 1) opts_.checkpoint_every = 1;
-  governor_.configure(opts_.tenancy);
   // Workers inherit the per-worker service template; each gets its own
   // PlanCache shard over the shared on-disk file (plan_cache.cpp flocks
   // around save/load, so shards never interleave partial writes).
@@ -77,7 +77,6 @@ Supervisor::Supervisor(SupervisorOptions options)
     for (const int fd : wake_fds_)
       ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   }
-  stats_.workers = opts_.workers;
   slots_.resize(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
     slots_[static_cast<std::size_t>(i)].index = i;
@@ -112,14 +111,15 @@ bool Supervisor::spawn(WorkerSlot& w) {
     if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
     ::signal(SIGTERM, SIG_DFL);
     ::signal(SIGINT, SIG_DFL);
-    WorkerOptions wo;
-    wo.index = w.index;
-    wo.beat_ms = opts_.beat_ms;
-    wo.service = opts_.service;
-    std::_Exit(worker_main(sv[1], wo));
+    ExecutorOptions eo;
+    eo.name = "worker-" + std::to_string(w.index);
+    eo.beat_ms = opts_.beat_ms;
+    eo.window = 1;
+    eo.service = opts_.service;
+    std::_Exit(serve_connection(sv[1], eo));
   }
   ::close(sv[1]);
-  const std::int64_t now = now_ns();
+  const std::int64_t now = steady_now_ns();
   w.pid = pid;
   w.fd = sv[0];
   w.acc.clear();
@@ -140,237 +140,30 @@ void Supervisor::wake() {
 }
 
 fault::Expected<std::uint64_t> Supervisor::submit(const JobSpec& spec) {
-  if (const fault::Status st = validate_spec(spec, opts_.max_points); !st.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    return st;
-  }
-  // Eager deadline shedding frees the capacity this submission competes for.
-  shed_expired_queued();
-
-  const double cost = predicted_job_cost(spec);
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_ || draining_.load(std::memory_order_acquire) ||
-        queue_.closed()) {
-      ++stats_.rejected;
-      return fault::Status(fault::ErrorCode::kUnavailable, "service shut down");
-    }
-    const std::int64_t now = now_ns();
-    if (const AdmitDecision d =
-            governor_.admit(spec, cost, queue_.size() + retry_.size(),
-                            queue_.capacity(), now);
-        !d.ok()) {
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "tenant admission rejected", d.retry_after_ms));
-    }
-    id = next_id_++;
-    auto rec = std::make_unique<JobRec>();
-    rec->spec = spec;
-    // The supervisor — never the client — chooses the failover checkpoint
-    // location; idempotent per job id, so a resumed dispatch finds it.
-    if (!opts_.checkpoint_dir.empty()) {
-      rec->spec.checkpoint_path =
-          opts_.checkpoint_dir + "/job-" + std::to_string(id) + ".ckpt";
-      rec->spec.checkpoint_every = opts_.checkpoint_every;
-    }
-    rec->submit_ns = now;
-    const std::int64_t deadline_ns =
-        spec.deadline_ms > 0 ? now + spec.deadline_ms * 1'000'000 : 0;
-    const QueueItem item{id,   spec.priority,     id,   spec.shape_key(),
-                         spec.tenant_key(),
-                         static_cast<std::uint32_t>(spec.eff_weight()),
-                         cost, deadline_ns};
-    if (!queue_.try_push(item)) {
-      const AdmitDecision d = governor_.queue_full(spec, cost, now);
-      ++stats_.rejected;
-      return fault::Status(
-          fault::ErrorCode::kUnavailable,
-          format_rejection(d.reason, "queue full", d.retry_after_ms));
-    }
-    jobs_[id] = std::move(rec);
-    ++active_jobs_;
-    ++stats_.submitted;
-  }
-  wake();
+  const auto id = table_.submit(spec);
+  if (id.ok()) wake();
   return id;
 }
 
 bool Supervisor::cancel(std::uint64_t id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return false;
-    it->second->cancel_requested = true;
-  }
-  wake();  // the monitor removes it from the queue or forwards the cancel
+  if (!table_.cancel(id)) return false;
+  wake();  // the monitor forwards a running job's cancel to its worker
   return true;
 }
 
-std::optional<JobInfo> Supervisor::info(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobInfo out;
-  out.id = id;
-  out.state = it->second->state;
-  out.spec = it->second->spec;
-  out.result = it->second->result;
-  return out;
-}
-
-std::optional<JobInfo> Supervisor::wait(std::uint64_t id, std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobRec* rec = it->second.get();
-  const auto pred = [&] { return terminal(rec->state); };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-  } else if (!jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred)) {
-    return std::nullopt;
-  }
-  JobInfo out;
-  out.id = id;
-  out.state = rec->state;
-  out.spec = rec->spec;
-  out.result = rec->result;
-  return out;
-}
-
-bool Supervisor::drain(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto pred = [&] { return active_jobs_ == 0; };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, pred);
-    return true;
-  }
-  return jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), pred);
-}
-
 ServiceStats Supervisor::stats() const {
-  ServiceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-    out.queue_depth = queue_.size() + retry_.size();
-    out.in_flight = 0;
-    out.workers_live = 0;
-    const std::int64_t now = now_ns();
-    for (const WorkerSlot& w : slots_) {
-      if (!w.live) continue;
-      ++out.workers_live;
-      if (w.job != 0) ++out.in_flight;
-      const std::int64_t age_ms = (now - w.beat_ns) / 1'000'000;
-      out.max_heartbeat_age_ms = std::max(out.max_heartbeat_age_ms, age_ms);
-    }
-  }
+  ServiceStats out = table_.stats();
   out.threads = opts_.service.threads;
-  out.tenancy = governor_.enabled();
-  out.quarantined = governor_.quarantined_total();
-  out.quarantine_trips = governor_.quarantine_trips();
-  out.tenants = governor_.snapshot();
-  if (!out.tenants.empty()) {
-    for (const auto& [tenant, deficit] : queue_.drr_snapshot())
-      for (TenantCounters& c : out.tenants)
-        if (c.key == tenant) c.deficit = deficit;
+  out.workers = opts_.workers;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::int64_t now = steady_now_ns();
+  for (const WorkerSlot& w : slots_) {
+    if (!w.live) continue;
+    ++out.workers_live;
+    out.max_heartbeat_age_ms =
+        std::max(out.max_heartbeat_age_ms, (now - w.beat_ns) / 1'000'000);
   }
   return out;
-}
-
-void Supervisor::record_terminal(std::uint64_t id, JobState state,
-                                 const JobResult& r) {
-  // Exactly-once: the first terminal transition wins; late or duplicate
-  // results (a failover racing a slow pipe) are dropped here.
-  bool was_running = false;
-  const JobSpec* spec = nullptr;  // stable: jobs_ entries are never erased
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    was_running = rec.state == JobState::kRunning;
-    spec = &rec.spec;
-    rec.state = state;
-    rec.result = r;
-    rec.worker = -1;
-    --active_jobs_;
-    switch (state) {
-      case JobState::kDone:
-        ++stats_.completed;
-        break;
-      case JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case JobState::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case JobState::kExpired:
-        ++stats_.expired;
-        break;
-      default:
-        break;
-    }
-    if (r.batched) ++stats_.batched;
-    if (r.plan_cache_hit)
-      ++stats_.plan_hits;
-    else if (state == JobState::kDone)
-      ++stats_.plan_misses;
-    if (rec.dispatch_ns > 0)
-      stats_.total_wait_s +=
-          static_cast<double>(rec.dispatch_ns - rec.submit_ns) * 1e-9;
-    stats_.total_run_s += r.run_s;
-  }
-  if (spec != nullptr) governor_.note_finished(*spec, was_running, state);
-  jobs_cv_.notify_all();
-}
-
-void Supervisor::failover(std::uint64_t id, const char* why) {
-  bool abandoned = false;
-  AdmitDecision quarantine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second->state)) return;
-    JobRec& rec = *it->second;
-    if (rec.attempts >= opts_.max_job_attempts) {
-      abandoned = true;
-    } else if (quarantine = governor_.quarantine_check(rec.spec, now_ns());
-               !quarantine.ok()) {
-      // Poison quarantine: this (tenant, shape) keeps killing workers.
-      // Fail fast instead of burning the remaining attempts — and the
-      // sibling workers — on a job the breaker already indicted.
-    } else {
-      // Resume from the last durable pass-boundary checkpoint; a missing
-      // or unusable file degrades to a fresh (still bit-exact) start.
-      rec.spec.resume = !rec.spec.checkpoint_path.empty();
-      rec.state = JobState::kQueued;
-      rec.worker = -1;
-      retry_.push_back(id);
-      governor_.note_requeued(rec.spec);
-      ++stats_.failovers;
-      ++stats_.redispatched;
-    }
-  }
-  if (abandoned) {
-    JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = std::string("job abandoned after ") +
-                std::to_string(opts_.max_job_attempts) +
-                " dispatch attempts — last worker loss: " + why;
-    record_terminal(id, JobState::kFailed, r);
-  } else if (!quarantine.ok()) {
-    JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = format_rejection(
-        AdmitReason::kQuarantined,
-        std::string("poison job quarantined — last worker loss: ") + why,
-        quarantine.retry_after_ms);
-    record_terminal(id, JobState::kFailed, r);
-  }
 }
 
 void Supervisor::on_result(WorkerSlot& w, const std::string& payload) {
@@ -378,39 +171,22 @@ void Supervisor::on_result(WorkerSlot& w, const std::string& payload) {
   JobState state = JobState::kFailed;
   JobResult r;
   if (!wire::result_from_json(payload, &id, &state, &r)) return;
-  bool mine = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    mine = w.job == id;
-    if (mine) {
-      w.job = 0;
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end()) w.affinity = it->second->spec.shape_key();
-    }
+    if (w.job != id) return;  // stale frame from a previous assignment
+    w.job = 0;
   }
-  if (!mine) return;  // stale frame from a previous assignment
-
   // Integrity escalation: the worker's in-process ladder (audits, ring
   // sentinels, re-execution) gave up. The worker's address space is not
   // trusted anymore — recycle the process and fail the job over, exactly
-  // like a crash. Only a genuinely exhausted job records the failure.
+  // like a crash.
   if (state == JobState::kFailed && r.error == fault::ErrorCode::kSdcDetected) {
-    bool exhausted = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.sdc_escalations;
-      const auto it = jobs_.find(id);
-      exhausted = it == jobs_.end() || it->second->attempts >= opts_.max_job_attempts;
-    }
-    if (exhausted) {
-      record_terminal(id, state, r);
-    } else {
-      failover(id, "SDC escalation");
-    }
+    table_.count(&ServiceStats::sdc_escalations);
+    table_.failover(id, "SDC escalation: " + r.message);
     if (w.pid > 0) ::kill(static_cast<pid_t>(w.pid), SIGKILL);
     return;
   }
-  record_terminal(id, state, r);
+  table_.finish(id, state, r);
 }
 
 void Supervisor::handle_frame(WorkerSlot& w, std::uint32_t type,
@@ -418,7 +194,7 @@ void Supervisor::handle_frame(WorkerSlot& w, std::uint32_t type,
   switch (static_cast<wire::FrameType>(type)) {
     case wire::FrameType::kBeat: {
       std::int64_t p = 0;
-      const std::int64_t now = now_ns();
+      const std::int64_t now = steady_now_ns();
       std::lock_guard<std::mutex> lock(mu_);
       w.beat_ns = now;
       if (json::get_int(payload, "progress", &p) &&
@@ -453,8 +229,6 @@ void Supervisor::worker_down(WorkerSlot& w, bool expected) {
     ::close(w.fd);
   }
   std::uint64_t lost = 0;
-  bool poison = false;
-  JobSpec poison_spec;
   {
     std::lock_guard<std::mutex> lock(mu_);
     w.fd = -1;
@@ -462,18 +236,7 @@ void Supervisor::worker_down(WorkerSlot& w, bool expected) {
     w.pid = -1;
     lost = w.job;
     w.job = 0;
-    if (lost != 0 && !expected) {
-      // Attribute the loss to the in-flight job: crashes and hang kills
-      // feed the poison breaker. SDC escalations do not land here — the
-      // result frame already cleared w.job before the recycle kill.
-      const auto it = jobs_.find(lost);
-      if (it != jobs_.end() && !terminal(it->second->state)) {
-        poison = true;
-        poison_spec = it->second->spec;
-      }
-    }
     if (!expected) {
-      ++stats_.worker_deaths;
       ++w.restarts;
       ++w.incarnation;
       if (w.restarts > static_cast<std::uint64_t>(opts_.max_restarts)) {
@@ -486,106 +249,40 @@ void Supervisor::worker_down(WorkerSlot& w, bool expected) {
             opts_.backoff, static_cast<int>(w.restarts - 1),
             static_cast<std::uint64_t>(w.index));
         w.restart_at_ns =
-            now_ns() +
+            steady_now_ns() +
             std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
       }
     }
   }
-  if (poison) governor_.note_poison(poison_spec, now_ns());
-  if (lost != 0) failover(lost, "worker process lost");
-}
-
-void Supervisor::shed_expired_queued() {
-  const std::vector<std::uint64_t> expired = queue_.take_expired(now_ns());
-  for (const std::uint64_t id : expired) {
-    JobSpec spec;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end() || terminal(it->second->state)) continue;
-      spec = it->second->spec;
-      ++stats_.shed_expired;
-    }
-    governor_.note_shed(spec);
-    JobResult r;
-    r.message = "deadline expired while queued; shed";
-    record_terminal(id, JobState::kExpired, r);
-  }
-}
-
-void Supervisor::fail_active_jobs(const char* why) {
-  std::vector<std::uint64_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, rec] : jobs_)
-      if (!terminal(rec->state)) ids.push_back(id);
-    retry_.clear();
-  }
-  for (const std::uint64_t id : ids) {
-    queue_.remove(id);
-    JobResult r;
-    r.error = fault::ErrorCode::kUnavailable;
-    r.message = why;
-    record_terminal(id, JobState::kFailed, r);
-  }
+  if (!expected) table_.count(&ServiceStats::worker_deaths);
+  if (lost == 0) return;
+  // Crashes and hang kills feed the poison breaker. SDC escalations do not
+  // land here — the result frame already cleared w.job before the recycle.
+  if (!expected) table_.note_poison(lost);
+  table_.failover(lost, "worker process lost");
 }
 
 void Supervisor::dispatch() {
   for (WorkerSlot& w : slots_) {
     if (!w.live || w.job != 0) continue;
-
-    std::uint64_t id = 0;
-    JobSpec spec;
-    int incarnation = 0;
+    std::optional<JobTable::Job> job;
+    while (!job) {
+      const auto claimed = table_.next(w.affinity);
+      if (!claimed) return;  // nothing queued
+      job = table_.start(claimed->id, w.index);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // Failed-over jobs first: their checkpoints are cooling and their
-      // clients have already waited through one worker loss.
-      while (!retry_.empty() && id == 0) {
-        const std::uint64_t cand = retry_.front();
-        retry_.pop_front();
-        const auto it = jobs_.find(cand);
-        if (it != jobs_.end() && it->second->state == JobState::kQueued)
-          id = cand;
-      }
-      if (id == 0) {
-        if (const auto item = queue_.try_pop(w.affinity)) {
-          const auto it = jobs_.find(item->id);
-          if (it != jobs_.end() && it->second->state == JobState::kQueued)
-            id = item->id;
-        }
-      }
-      if (id == 0) continue;
-      JobRec& rec = *jobs_[id];
-      if (rec.cancel_requested) {
-        rec.cancel_requested = false;
-        spec = rec.spec;
-        incarnation = -1;  // marks "cancel instead of dispatch"
-      } else {
-        rec.state = JobState::kRunning;
-        rec.worker = w.index;
-        rec.dispatch_ns = now_ns();
-        ++rec.attempts;
-        w.job = id;
-        w.progress_ns = now_ns();
-        spec = rec.spec;
-        incarnation = w.incarnation;
-        governor_.note_started(rec.spec);
-      }
-    }
-
-    if (incarnation < 0) {
-      JobResult r;
-      r.message = "cancelled while queued";
-      record_terminal(id, JobState::kCancelled, r);
-      continue;
+      w.job = job->id;
+      w.affinity = job->spec.shape_key();
+      w.progress_ns = steady_now_ns();
     }
 
     // Injected process faults ride the submit frame — but only to the
     // targeted worker's first incarnation. A restarted worker gets a clean
     // plan, so an absorbed fault can never refire.
-    std::string payload = wire::spec_to_json(id, spec);
-    if (opts_.faults != nullptr && incarnation == 0) {
+    std::string payload = wire::spec_to_json(job->id, job->spec);
+    if (opts_.faults != nullptr && w.incarnation == 0) {
       fault::FaultPlan& fp = *opts_.faults;
       std::string extra;
       if (fp.kill_worker == w.index && fp.kill_worker_pass >= 0 &&
@@ -606,14 +303,9 @@ void Supervisor::dispatch() {
 
     if (!wire::write_frame(w.fd, wire::FrameType::kSubmit, payload)) {
       // Pipe already broken: undo the assignment; the reaper will see the
-      // death and the job will fail over through the normal path.
+      // death, and the job is first in line for the next live worker.
+      table_.requeue(job->id);
       std::lock_guard<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end() && it->second->state == JobState::kRunning) {
-        it->second->state = JobState::kQueued;
-        it->second->worker = -1;
-        retry_.push_back(id);
-      }
       w.job = 0;
     }
   }
@@ -682,15 +374,15 @@ void Supervisor::monitor_loop() {
     // Hang detection: progress staleness, not beat arrival. An injected
     // stall (or a livelocked team) beats happily while progress freezes.
     if (opts_.hang_ms > 0) {
-      const std::int64_t now = now_ns();
+      const std::int64_t now = steady_now_ns();
       for (WorkerSlot& w : slots_) {
         bool hung = false;
         {
           std::lock_guard<std::mutex> lock(mu_);
           hung = w.live && w.job != 0 &&
                  (now - w.progress_ns) / 1'000'000 > opts_.hang_ms;
-          if (hung) ++stats_.hang_kills;
         }
+        if (hung) table_.count(&ServiceStats::hang_kills);
         if (hung && w.pid > 0) {
           std::fprintf(stderr,
                        "s35-serve: worker %d hung (progress stale %d ms), "
@@ -703,7 +395,7 @@ void Supervisor::monitor_loop() {
 
     // Restart due workers (capped + jittered backoff, first-class counter).
     if (!stopping) {
-      const std::int64_t now = now_ns();
+      const std::int64_t now = steady_now_ns();
       for (WorkerSlot& w : slots_) {
         bool due = false;
         {
@@ -712,64 +404,34 @@ void Supervisor::monitor_loop() {
                 now >= w.restart_at_ns;
           if (due) w.restart_at_ns = 0;
         }
-        if (due && spawn(w)) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.restarts;
-        }
+        if (due && spawn(w)) table_.count(&ServiceStats::restarts);
       }
     }
 
-    // Forward cancels for running jobs; cancel queued ones directly.
-    {
-      std::vector<std::pair<std::uint64_t, int>> running_cancels;
-      std::vector<std::uint64_t> queued_cancels;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto& [id, rec] : jobs_) {
-          if (!rec->cancel_requested || terminal(rec->state)) continue;
-          if (rec->state == JobState::kRunning && rec->worker >= 0)
-            running_cancels.emplace_back(id, rec->worker);
-          else if (rec->state == JobState::kQueued)
-            queued_cancels.push_back(id);
-          rec->cancel_requested = false;
-        }
-      }
-      for (const auto& [id, slot] : running_cancels) {
-        const WorkerSlot& w = slots_[static_cast<std::size_t>(slot)];
-        if (w.live && w.fd >= 0)
-          wire::write_frame(w.fd, wire::FrameType::kCancel,
-                            "{\"job\":" + std::to_string(id) + "}");
-      }
-      for (const std::uint64_t id : queued_cancels) {
-        if (queue_.remove(id)) {
-          JobResult r;
-          r.message = "cancelled while queued";
-          record_terminal(id, JobState::kCancelled, r);
-        } else {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = jobs_.find(id);
-          if (it != jobs_.end() && it->second->state == JobState::kQueued)
-            it->second->cancel_requested = true;  // retry_ entry; re-check
-        }
-      }
+    // Forward cancels of running jobs (queued ones ended at cancel()).
+    for (const auto& [id, slot] : table_.take_cancels()) {
+      const WorkerSlot& w = slots_[static_cast<std::size_t>(slot)];
+      if (w.live && w.fd >= 0)
+        wire::write_frame(w.fd, wire::FrameType::kCancel,
+                          "{\"job\":" + std::to_string(id) + "}");
     }
 
-    if (!stopping) shed_expired_queued();
-    if (!stopping) dispatch();
+    if (!stopping) {
+      table_.shed_expired();
+      dispatch();
+    }
 
     // No execution capacity left? Fail what remains instead of hanging
     // clients forever.
     {
       bool any_capacity = false;
-      std::size_t active = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
         for (const WorkerSlot& w : slots_)
           if (w.live || (!w.abandoned && w.restart_at_ns > 0)) any_capacity = true;
-        active = active_jobs_;
       }
-      if (!any_capacity && active > 0)
-        fail_active_jobs("no live workers remain (all abandoned)");
+      if (!any_capacity && table_.active() > 0)
+        table_.fail_active("no live workers remain (all abandoned)");
     }
 
     if (stopping) {
@@ -778,8 +440,8 @@ void Supervisor::monitor_loop() {
       // make sure with SIGKILL, and reap everything.
       for (WorkerSlot& w : slots_)
         if (w.live && w.fd >= 0) wire::write_frame(w.fd, wire::FrameType::kDrain, "{}");
-      const std::int64_t deadline = now_ns() + 3'000'000'000ll;  // 3 s
-      while (now_ns() < deadline) {
+      const std::int64_t deadline = steady_now_ns() + 3'000'000'000ll;  // 3 s
+      while (steady_now_ns() < deadline) {
         bool any_live = false;
         for (WorkerSlot& w : slots_) {
           if (!w.live) continue;
@@ -808,17 +470,11 @@ void Supervisor::monitor_loop() {
 }
 
 void Supervisor::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  draining_.store(true, std::memory_order_release);
-  queue_.close();  // stops admission; queued items stay dispatchable
+  if (!table_.close()) return;  // stops admission; queued jobs stay dispatchable
   wake();
   // Graceful drain: every accepted job runs to a terminal state while the
   // monitor keeps dispatching, failing over, and restarting workers.
-  drain(-1);
+  table_.drain(-1);
   stopping_.store(true, std::memory_order_release);
   wake();
   if (monitor_.joinable()) monitor_.join();
@@ -830,7 +486,7 @@ void Supervisor::shutdown() {
 #else  // !__unix__
 
 Supervisor::Supervisor(SupervisorOptions options)
-    : opts_(std::move(options)), queue_(1) {
+    : opts_(std::move(options)), table_(table_options(opts_)) {
   std::fprintf(stderr, "s35-serve: worker supervision requires POSIX\n");
 }
 Supervisor::~Supervisor() = default;
@@ -838,11 +494,6 @@ fault::Expected<std::uint64_t> Supervisor::submit(const JobSpec&) {
   return fault::Status(fault::ErrorCode::kUnavailable, "supervision requires POSIX");
 }
 bool Supervisor::cancel(std::uint64_t) { return false; }
-std::optional<JobInfo> Supervisor::info(std::uint64_t) const { return std::nullopt; }
-std::optional<JobInfo> Supervisor::wait(std::uint64_t, std::int64_t) {
-  return std::nullopt;
-}
-bool Supervisor::drain(std::int64_t) { return true; }
 ServiceStats Supervisor::stats() const { return {}; }
 void Supervisor::shutdown() {}
 void Supervisor::monitor_loop() {}
@@ -850,11 +501,7 @@ bool Supervisor::spawn(WorkerSlot&) { return false; }
 void Supervisor::handle_frame(WorkerSlot&, std::uint32_t, const std::string&) {}
 void Supervisor::on_result(WorkerSlot&, const std::string&) {}
 void Supervisor::worker_down(WorkerSlot&, bool) {}
-void Supervisor::failover(std::uint64_t, const char*) {}
 void Supervisor::dispatch() {}
-void Supervisor::record_terminal(std::uint64_t, JobState, const JobResult&) {}
-void Supervisor::fail_active_jobs(const char*) {}
-void Supervisor::shed_expired_queued() {}
 void Supervisor::wake() {}
 
 #endif

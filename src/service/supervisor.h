@@ -1,10 +1,11 @@
 // Supervisor: the crash-isolated serving plane.
 //
-// Forks N worker processes (worker.h), each running its own warm
-// JobService, and multiplexes client jobs over them through the wire
-// protocol (wire.h). One monitor thread owns every worker pipe and the
-// process table; it is simultaneously the dispatcher, the heartbeat
-// examiner, and the reaper:
+// Forks N worker processes, each running the frame executor (executor.h)
+// over one socketpair, and multiplexes client jobs over them through the
+// wire protocol (wire.h). The job records live in a JobTable (job_table.h),
+// the same lifecycle the other backends run on. One monitor thread owns
+// every worker pipe and the process table; it is simultaneously the
+// dispatcher, the heartbeat examiner, and the reaper:
 //
 //   death       waitpid(WNOHANG) after every poll round. Before declaring
 //               the in-flight job lost, the pipe is drained — a result
@@ -12,7 +13,7 @@
 //   hang        beats carry a pass-progress counter; a live worker whose
 //               progress has not advanced for hang_ms is SIGKILLed. Frame
 //               arrival alone proves nothing: an injected stall keeps the
-//               heartbeat thread beating while the job is frozen.
+//               executor beating while the job is frozen.
 //   escalation  a result of kSdcDetected means the in-process integrity
 //               ladder gave up — the worker is recycled and the job fails
 //               over like a crash.
@@ -29,15 +30,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -45,7 +42,7 @@
 #include "fault/status.h"
 #include "service/backend.h"
 #include "service/job.h"
-#include "service/queue.h"
+#include "service/job_table.h"
 #include "service/service.h"
 
 namespace s35::service {
@@ -89,10 +86,14 @@ class Supervisor : public JobBackend {
 
   fault::Expected<std::uint64_t> submit(const JobSpec& spec) override;
   bool cancel(std::uint64_t id) override;
-  std::optional<JobInfo> info(std::uint64_t id) const override;
+  std::optional<JobInfo> info(std::uint64_t id) const override {
+    return table_.info(id);
+  }
   std::optional<JobInfo> wait(std::uint64_t id,
-                              std::int64_t timeout_ms = -1) override;
-  bool drain(std::int64_t timeout_ms = -1) override;
+                              std::int64_t timeout_ms = -1) override {
+    return table_.wait(id, timeout_ms);
+  }
+  bool drain(std::int64_t timeout_ms = -1) override { return table_.drain(timeout_ms); }
   ServiceStats stats() const override;
 
   // Graceful drain: stops admission, finishes every accepted job (workers
@@ -122,49 +123,21 @@ class Supervisor : public JobBackend {
     std::int64_t restart_at_ns = 0;  // backoff deadline while !live
   };
 
-  struct JobRec {
-    JobSpec spec;
-    JobState state = JobState::kQueued;
-    JobResult result;
-    int attempts = 0;  // dispatches so far
-    bool cancel_requested = false;
-    std::int64_t submit_ns = 0;
-    std::int64_t dispatch_ns = 0;
-    int worker = -1;  // slot index while running
-  };
-
   void monitor_loop();
   bool spawn(WorkerSlot& w);
   void handle_frame(WorkerSlot& w, std::uint32_t type, const std::string& payload);
   void on_result(WorkerSlot& w, const std::string& payload);
   void worker_down(WorkerSlot& w, bool expected);
-  void failover(std::uint64_t id, const char* why);
   void dispatch();
-  void record_terminal(std::uint64_t id, JobState state, const JobResult& r);
-  void fail_active_jobs(const char* why);
-  // Realizes kExpired for queued jobs whose deadline already passed; called
-  // by submit and once per monitor round, with mu_ not held.
-  void shed_expired_queued();
   void wake();
 
   SupervisorOptions opts_;
-  BoundedJobQueue queue_;
-  TenantGovernor governor_;
+  JobTable table_;
   std::vector<WorkerSlot> slots_;
   int wake_fds_[2] = {-1, -1};
 
-  mutable std::mutex mu_;  // jobs_, retry_, stats counters, slot metadata
-  std::condition_variable jobs_cv_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
-  std::deque<std::uint64_t> retry_;  // failed-over jobs, dispatched first
-  std::uint64_t next_id_ = 1;
-  std::uint64_t active_jobs_ = 0;
-
-  ServiceStats stats_;  // supervision counters; snapshot under mu_
-
-  std::atomic<bool> draining_{false};
+  mutable std::mutex mu_;  // slot metadata read by stats()
   std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;  // guarded by mu_
   std::thread monitor_;
 };
 

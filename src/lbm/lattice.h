@@ -18,6 +18,7 @@
 
 #include "common/aligned_buffer.h"
 #include "common/check.h"
+#include "core/field.h"
 #include "grid/grid3.h"
 
 namespace s35::lbm {
@@ -202,3 +203,21 @@ double total_fluid_mass(const Lattice<T>& lat, const Geometry& geom) {
 }
 
 }  // namespace s35::lbm
+
+namespace s35::core {
+
+// The lattice as a field: kQ distribution arrays (the paper's E = 19),
+// checkpointed as the lattice kind.
+template <typename T>
+struct FieldTraits<lbm::Lattice<T>> {
+  using Value = T;
+  using Pair = lbm::LatticePair<T>;
+  static constexpr int kArrays = lbm::kQ;
+  static constexpr grid::detail::Kind kKind = grid::detail::kKindLattice;
+  static T* row(lbm::Lattice<T>& l, int i, long y, long z) { return l.row(i, y, z); }
+  static const T* row(const lbm::Lattice<T>& l, int i, long y, long z) {
+    return l.row(i, y, z);
+  }
+};
+
+}  // namespace s35::core

@@ -16,6 +16,7 @@
 
 #include "core/engine.h"
 #include "core/kernel_options.h"
+#include "core/passes.h"
 #include "fault/status.h"
 #include "integrity/integrity.h"
 #include "lbm/slab_kernel.h"
@@ -111,21 +112,22 @@ void lbm_step_naive(const Geometry& geom, const BgkParams<T>& prm,
 
 // --------------------------------------------------------- Engine35-based
 
+// The Engine35-based variants (kTemporalOnly, kBlocked35D) through the
+// shared pass runner (core/passes.h); `reexecute` selects the in-memory
+// recovery rung over detect-only integrity.
 template <typename T, typename Tag>
-void run_lbm_engine_pass(const Geometry& geom, const BgkParams<T>& prm,
-                         const Lattice<T>& src, Lattice<T>& dst, long dim_x,
-                         long dim_y, int dim_t, bool serialized,
-                         core::Engine35& engine,
-                         const core::KernelOptions& opts = {},
-                         const integrity::IntegrityContext& ictx = {},
-                         core::ScheduleFamily family = core::ScheduleFamily::kPaper35D,
-                         long diamond_width = 0) {
-  const core::Tiling tiling(src.nx(), src.ny(), dim_x, dim_y, 1, dim_t);
-  const core::TemporalSchedule sched(src.nz(), 1, dim_t, serialized, family,
-                                     diamond_width);
-  LbmSlabKernel<T, Tag> kernel(geom, prm, src, dst, dim_x, dim_y, dim_t,
-                               sched.planes_per_instance(), opts, ictx);
-  engine.run_pass(kernel, tiling, sched);
+fault::Status run_lbm_engine(Variant variant, const Geometry& geom,
+                             const BgkParams<T>& prm, LatticePair<T>& pair, int steps,
+                             const SweepConfig& cfg, core::Engine35& engine,
+                             bool reexecute) {
+  const core::PassShape shape =
+      core::engine_pass_shape(variant, pair.src().nx(), pair.src().ny(), cfg);
+  return core::run_passes(
+      engine, pair, steps, 1, shape, cfg, cfg.integrity, reexecute,
+      [&](const core::PassShape& s, int planes, const integrity::IntegrityContext& ictx) {
+        return LbmSlabKernel<T, Tag>(geom, prm, pair.src(), pair.dst(), s.dim_x, s.dim_y,
+                                     s.pass_t, planes, cfg.kernel, ictx);
+      });
 }
 
 // -------------------------------------------------------------- 4D blocks
@@ -152,44 +154,11 @@ void run_lbm(Variant variant, const Geometry& geom, const BgkParams<T>& prm,
       return;
 
     case Variant::kTemporalOnly:
-    case Variant::kBlocked35D: {
-      long dim_x, dim_y;
-      if (variant == Variant::kTemporalOnly) {
-        dim_x = pair.src().nx();
-        dim_y = pair.src().ny();
-      } else {
-        S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
-        dim_x = cfg.dim_x;
-        dim_y = cfg.dim_y > 0 ? cfg.dim_y : cfg.dim_x;
-      }
-      S35_CHECK(cfg.dim_t >= 1);
-      integrity::IntegrityContext ictx = cfg.integrity;
-      int remaining = steps;
-      if (remaining >= cfg.dim_t) {
-        const core::Tiling tiling(pair.src().nx(), pair.src().ny(), dim_x, dim_y, 1,
-                                  cfg.dim_t);
-        const core::TemporalSchedule sched(pair.src().nz(), 1, cfg.dim_t,
-                                           cfg.serialized, cfg.family, cfg.dim_z);
-        LbmSlabKernel<T, Tag> kernel(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                     cfg.dim_t, sched.planes_per_instance(),
-                                     cfg.kernel, ictx);
-        while (remaining >= cfg.dim_t) {
-          kernel.rebind(pair.src(), pair.dst());
-          kernel.set_integrity_pass(ictx.pass);
-          engine.run_pass(kernel, tiling, sched);
-          pair.swap();
-          ++ictx.pass;
-          remaining -= cfg.dim_t;
-        }
-      }
-      if (remaining > 0) {
-        run_lbm_engine_pass<T, Tag>(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                    remaining, cfg.serialized, engine, cfg.kernel,
-                                    ictx, cfg.family, cfg.dim_z);
-        pair.swap();
-      }
+    case Variant::kBlocked35D:
+      // Detect-only: integrity events land on the monitor, no replay.
+      (void)run_lbm_engine<T, Tag>(variant, geom, prm, pair, steps, cfg, engine,
+                                   /*reexecute=*/false);
       return;
-    }
 
     case Variant::kBlocked4D: {
       S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked4D needs dim_x");
@@ -232,72 +201,8 @@ fault::Status run_lbm_verified(Variant variant, const Geometry& geom,
                                core::Engine35& engine) {
   S35_CHECK_MSG(variant == Variant::kTemporalOnly || variant == Variant::kBlocked35D,
                 "run_lbm_verified needs an Engine35 variant");
-  S35_CHECK(steps >= 0);
-  long dim_x, dim_y;
-  if (variant == Variant::kTemporalOnly) {
-    dim_x = pair.src().nx();
-    dim_y = pair.src().ny();
-  } else {
-    S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
-    dim_x = cfg.dim_x;
-    dim_y = cfg.dim_y > 0 ? cfg.dim_y : cfg.dim_x;
-  }
-  S35_CHECK(cfg.dim_t >= 1);
-
-  integrity::IntegrityContext ictx = cfg.integrity;
-  integrity::IntegrityMonitor* mon = ictx.monitor;
-  auto run_checked = [&](auto& kernel, const core::Tiling& tiling,
-                         const core::TemporalSchedule& sched) -> fault::Status {
-    for (int attempt = 0;; ++attempt) {
-      kernel.rebind(pair.src(), pair.dst());
-      kernel.set_integrity_pass(ictx.pass);
-      if (attempt == 0) {
-        engine.run_pass(kernel, tiling, sched);
-      } else {
-        const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-        engine.run_pass(kernel, tiling, sched);
-      }
-      if (!ictx.active() || !mon->poisoned()) return fault::ok_status();
-      if (attempt >= ictx.options.max_reexec) {
-        return fault::Status(fault::ErrorCode::kSdcDetected,
-                             "SDC persisted after " +
-                                 std::to_string(ictx.options.max_reexec) +
-                                 " in-memory re-executions of LBM pass " +
-                                 std::to_string(ictx.pass));
-      }
-      mon->clear_poison();
-      mon->note_reexec();
-    }
-  };
-
-  int remaining = steps;
-  if (remaining >= cfg.dim_t) {
-    const core::Tiling tiling(pair.src().nx(), pair.src().ny(), dim_x, dim_y, 1,
-                              cfg.dim_t);
-    const core::TemporalSchedule sched(pair.src().nz(), 1, cfg.dim_t, cfg.serialized,
-                                       cfg.family, cfg.dim_z);
-    LbmSlabKernel<T, Tag> kernel(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                 cfg.dim_t, sched.planes_per_instance(), cfg.kernel,
-                                 ictx);
-    while (remaining >= cfg.dim_t) {
-      if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-      pair.swap();
-      ++ictx.pass;
-      remaining -= cfg.dim_t;
-    }
-  }
-  if (remaining > 0) {
-    const core::Tiling tiling(pair.src().nx(), pair.src().ny(), dim_x, dim_y, 1,
-                              remaining);
-    const core::TemporalSchedule sched(pair.src().nz(), 1, remaining, cfg.serialized,
-                                       cfg.family, cfg.dim_z);
-    LbmSlabKernel<T, Tag> kernel(geom, prm, pair.src(), pair.dst(), dim_x, dim_y,
-                                 remaining, sched.planes_per_instance(), cfg.kernel,
-                                 ictx);
-    if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-    pair.swap();
-  }
-  return fault::ok_status();
+  return run_lbm_engine<T, Tag>(variant, geom, prm, pair, steps, cfg, engine,
+                                /*reexecute=*/true);
 }
 
 }  // namespace s35::lbm

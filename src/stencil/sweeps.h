@@ -21,6 +21,7 @@
 
 #include "core/engine.h"
 #include "core/kernel_options.h"
+#include "core/passes.h"
 #include "core/planner.h"
 #include "fault/status.h"
 #include "grid/grid3.h"
@@ -235,29 +236,6 @@ void sweep_step_3d(const S& stencil, const grid::Grid3<T>& src, grid::Grid3<T>& 
   });
 }
 
-// --------------------------------------------------------- Engine35-based
-
-// One pass of `dim_t` time steps using the 3.5D engine; tiling chooses the
-// spatial flavor (planner tiles = 3.5D / 2.5D, whole-plane tile = temporal
-// only).
-template <typename S, typename T, typename Tag>
-void run_engine_pass(const S& stencil, const grid::Grid3<T>& src, grid::Grid3<T>& dst,
-                     long dim_x, long dim_y, int dim_t, bool serialized,
-                     bool streaming_stores, core::Engine35& engine,
-                     const core::KernelOptions& opts = {},
-                     const integrity::IntegrityContext& ictx = {},
-                     core::ScheduleFamily family = core::ScheduleFamily::kPaper35D,
-                     long diamond_width = 0) {
-  const core::Tiling tiling(src.nx(), src.ny(), dim_x, dim_y, S::radius, dim_t);
-  const core::TemporalSchedule sched(src.nz(), S::radius, dim_t, serialized, family,
-                                     diamond_width);
-  StencilSlabKernel<S, T, Tag> kernel(stencil, src, dst, dim_x, dim_y, dim_t,
-                                      sched.planes_per_instance(), streaming_stores,
-                                      opts, ictx);
-  kernel.set_paired_rows(family == core::ScheduleFamily::kDeep35D);
-  engine.run_pass(kernel, tiling, sched);
-}
-
 // -------------------------------------------------------------- 4D blocks
 // Declared here, implemented in sweep_4d.h (included below).
 
@@ -286,7 +264,7 @@ void run_sweep_auto(Variant variant, const S& stencil, grid::GridPair<T>& pair,
 // ring plane are fully rewritten, so the replay is bit-exact). After
 // cfg.integrity.options.max_reexec failed re-executions the pass is given
 // up with kSdcDetected — the caller's cue to climb to the checkpoint rung
-// (see stencil/distributed.h). Engine35-based variants only (kSpatial25D,
+// (see core/passes.h and core/distributed.h). Engine35-based variants only (kSpatial25D,
 // kTemporalOnly, kBlocked35D). Result in pair.src() on ok.
 template <typename S, typename T, typename Tag = simd::DefaultTag>
 fault::Status run_sweep_verified(Variant variant, const S& stencil,

@@ -3,12 +3,28 @@
 
 namespace s35::stencil {
 
+// The Engine35-based variants (kSpatial25D, kTemporalOnly, kBlocked35D)
+// through the shared pass runner (core/passes.h).
+template <typename S, typename T, typename Tag>
+fault::Status run_engine_sweep(Variant variant, const S& stencil, grid::GridPair<T>& pair,
+                               int steps, const SweepConfig& cfg, core::Engine35& engine,
+                               bool reexecute) {
+  const core::PassShape shape =
+      core::engine_pass_shape(variant, pair.src().nx(), pair.src().ny(), cfg);
+  return core::run_passes(
+      engine, pair, steps, S::radius, shape, cfg, cfg.integrity, reexecute,
+      [&](const core::PassShape& s, int planes, const integrity::IntegrityContext& ictx) {
+        return StencilSlabKernel<S, T, Tag>(stencil, pair.src(), pair.dst(), s.dim_x,
+                                            s.dim_y, s.pass_t, planes,
+                                            cfg.streaming_stores, cfg.kernel, ictx);
+      });
+}
+
 template <typename S, typename T, typename Tag>
 void run_sweep(Variant variant, const S& stencil, grid::GridPair<T>& pair, int steps,
                const SweepConfig& cfg, core::Engine35& engine) {
   constexpr long R = S::radius;
-  const grid::Grid3<T>& g = pair.src();
-  const long nx = g.nx(), ny = g.ny();
+  const long nx = pair.src().nx();
   S35_CHECK(steps >= 0);
 
   switch (variant) {
@@ -38,53 +54,11 @@ void run_sweep(Variant variant, const S& stencil, grid::GridPair<T>& pair, int s
 
     case Variant::kSpatial25D:
     case Variant::kTemporalOnly:
-    case Variant::kBlocked35D: {
-      long dim_x, dim_y;
-      int pass_t;
-      if (variant == Variant::kSpatial25D) {
-        dim_x = cfg.dim_x > 0 ? cfg.dim_x : nx;
-        dim_y = cfg.dim_y > 0 ? cfg.dim_y : dim_x;
-        pass_t = 1;
-      } else if (variant == Variant::kTemporalOnly) {
-        dim_x = nx;  // single tile: no spatial blocking
-        dim_y = ny;
-        pass_t = cfg.dim_t;
-      } else {
-        S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
-        dim_x = cfg.dim_x;
-        dim_y = cfg.dim_y > 0 ? cfg.dim_y : cfg.dim_x;
-        pass_t = cfg.dim_t;
-      }
-      S35_CHECK(pass_t >= 1);
-      integrity::IntegrityContext ictx = cfg.integrity;
-      int remaining = steps;
-      if (remaining >= pass_t) {
-        // One tiling/schedule/kernel (and thus one ring-buffer allocation)
-        // serves every full pass; only a trailing partial pass rebuilds.
-        const core::Tiling tiling(nx, ny, dim_x, dim_y, S::radius, pass_t);
-        const core::TemporalSchedule sched(pair.src().nz(), S::radius, pass_t,
-                                           cfg.serialized, cfg.family, cfg.dim_z);
-        StencilSlabKernel<S, T, Tag> kernel(stencil, pair.src(), pair.dst(), dim_x,
-                                            dim_y, pass_t, sched.planes_per_instance(),
-                                            cfg.streaming_stores, cfg.kernel, ictx);
-        kernel.set_paired_rows(cfg.family == core::ScheduleFamily::kDeep35D);
-        while (remaining >= pass_t) {
-          kernel.rebind(pair.src(), pair.dst());
-          kernel.set_integrity_pass(ictx.pass);
-          engine.run_pass(kernel, tiling, sched);
-          pair.swap();
-          ++ictx.pass;
-          remaining -= pass_t;
-        }
-      }
-      if (remaining > 0) {
-        run_engine_pass<S, T, Tag>(stencil, pair.src(), pair.dst(), dim_x, dim_y,
-                                   remaining, cfg.serialized, cfg.streaming_stores,
-                                   engine, cfg.kernel, ictx, cfg.family, cfg.dim_z);
-        pair.swap();
-      }
+    case Variant::kBlocked35D:
+      // Detect-only: integrity events land on the monitor, no replay.
+      (void)run_engine_sweep<S, T, Tag>(variant, stencil, pair, steps, cfg, engine,
+                                        /*reexecute=*/false);
       return;
-    }
 
     case Variant::kBlocked4D: {
       S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked4D needs dim_x");
@@ -113,90 +87,8 @@ fault::Status run_sweep_verified(Variant variant, const S& stencil,
   S35_CHECK_MSG(variant == Variant::kSpatial25D || variant == Variant::kTemporalOnly ||
                     variant == Variant::kBlocked35D,
                 "run_sweep_verified needs an Engine35 variant");
-  constexpr long R = S::radius;
-  const long nx = pair.src().nx(), ny = pair.src().ny();
-  S35_CHECK(steps >= 0);
-
-  long dim_x, dim_y;
-  int pass_t;
-  if (variant == Variant::kSpatial25D) {
-    dim_x = cfg.dim_x > 0 ? cfg.dim_x : nx;
-    dim_y = cfg.dim_y > 0 ? cfg.dim_y : dim_x;
-    pass_t = 1;
-  } else if (variant == Variant::kTemporalOnly) {
-    dim_x = nx;
-    dim_y = ny;
-    pass_t = cfg.dim_t;
-  } else {
-    S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked35D needs dim_x");
-    dim_x = cfg.dim_x;
-    dim_y = cfg.dim_y > 0 ? cfg.dim_y : cfg.dim_x;
-    pass_t = cfg.dim_t;
-  }
-  S35_CHECK(pass_t >= 1);
-
-  integrity::IntegrityContext ictx = cfg.integrity;
-  integrity::IntegrityMonitor* mon = ictx.monitor;
-
-  // Runs one pass, re-executing it in memory while the monitor reports the
-  // output poisoned. The Jacobi source grid is read-only during a pass and
-  // a pass rewrites dst and every ring plane it reads, so a replay from the
-  // same src is bit-exact with a fault-free execution. One-shot injected
-  // faults are disarmed after firing, so the first replay comes out clean;
-  // sticky corruption (e.g. NaN already resident in src) survives every
-  // replay and escalates.
-  auto run_checked = [&](auto& kernel, const core::Tiling& tiling,
-                         const core::TemporalSchedule& sched) -> fault::Status {
-    for (int attempt = 0;; ++attempt) {
-      kernel.rebind(pair.src(), pair.dst());
-      kernel.set_integrity_pass(ictx.pass);
-      if (attempt == 0) {
-        engine.run_pass(kernel, tiling, sched);
-      } else {
-        const telemetry::ScopedPhase phase(0, telemetry::Phase::kRecovery);
-        engine.run_pass(kernel, tiling, sched);
-      }
-      if (!ictx.active() || !mon->poisoned()) return fault::ok_status();
-      if (attempt >= ictx.options.max_reexec) {
-        return fault::Status(fault::ErrorCode::kSdcDetected,
-                             "SDC persisted after " +
-                                 std::to_string(ictx.options.max_reexec) +
-                                 " in-memory re-executions of pass " +
-                                 std::to_string(ictx.pass));
-      }
-      mon->clear_poison();
-      mon->note_reexec();
-    }
-  };
-
-  int remaining = steps;
-  if (remaining >= pass_t) {
-    const core::Tiling tiling(nx, ny, dim_x, dim_y, R, pass_t);
-    const core::TemporalSchedule sched(pair.src().nz(), R, pass_t, cfg.serialized,
-                                       cfg.family, cfg.dim_z);
-    StencilSlabKernel<S, T, Tag> kernel(stencil, pair.src(), pair.dst(), dim_x, dim_y,
-                                        pass_t, sched.planes_per_instance(),
-                                        cfg.streaming_stores, cfg.kernel, ictx);
-    kernel.set_paired_rows(cfg.family == core::ScheduleFamily::kDeep35D);
-    while (remaining >= pass_t) {
-      if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-      pair.swap();
-      ++ictx.pass;
-      remaining -= pass_t;
-    }
-  }
-  if (remaining > 0) {
-    const core::Tiling tiling(nx, ny, dim_x, dim_y, R, remaining);
-    const core::TemporalSchedule sched(pair.src().nz(), R, remaining, cfg.serialized,
-                                       cfg.family, cfg.dim_z);
-    StencilSlabKernel<S, T, Tag> kernel(stencil, pair.src(), pair.dst(), dim_x, dim_y,
-                                        remaining, sched.planes_per_instance(),
-                                        cfg.streaming_stores, cfg.kernel, ictx);
-    kernel.set_paired_rows(cfg.family == core::ScheduleFamily::kDeep35D);
-    if (fault::Status st = run_checked(kernel, tiling, sched); !st.ok()) return st;
-    pair.swap();
-  }
-  return fault::ok_status();
+  return run_engine_sweep<S, T, Tag>(variant, stencil, pair, steps, cfg, engine,
+                                     /*reexecute=*/true);
 }
 
 }  // namespace s35::stencil

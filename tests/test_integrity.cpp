@@ -12,6 +12,7 @@
 
 #include "integrity/integrity.h"
 #include "integrity/watchdog.h"
+#include "lbm/distributed.h"
 #include "lbm/sweeps.h"
 #include "stencil/distributed.h"
 #include "stencil/sweeps.h"
@@ -401,6 +402,62 @@ TEST(Integrity, StickyWrongRowEscalatesToCheckpointRestoreBitExact) {
   grid::Grid3<float> gathered(nx, ny, nz);
   driver.gather(gathered);
   EXPECT_EQ(grid::count_mismatches(expected, gathered), 0);
+  std::remove(path.c_str());
+}
+
+// The LBM counterpart of the escalation above: the same ladder runs over
+// the 19-array halo CRC and the lattice checkpoint kind.
+TEST(IntegrityLbm, StickyWrongRowEscalatesToCheckpointRestoreBitExact) {
+  const long nx = 16, ny = 14, nz = 24;
+  const int steps = 8, dim_t = 2, ranks = 2;
+  lbm::Geometry geom(nx, ny, nz);
+  geom.set_box_walls();
+  geom.set_lid();
+  geom.finalize();
+  lbm::BgkParams<float> prm;
+  prm.omega = 1.2f;
+  prm.u_wall[0] = 0.05f;
+  core::Engine35 engine(2);
+  lbm::SweepConfig cfg;
+  cfg.dim_t = dim_t;
+
+  // Fault-free distributed reference.
+  lbm::Lattice<float> initial(nx, ny, nz);
+  perturb(initial);
+  lbm::Lattice<float> expected(nx, ny, nz);
+  {
+    lbm::DistributedLbmDriver<float> clean(geom, ranks, dim_t);
+    clean.scatter(initial);
+    ASSERT_TRUE(clean.run_guarded(prm, steps, cfg, engine).ok());
+    clean.gather(expected);
+  }
+
+  const std::string path = tmp_path("integrity_lbm_sticky.ckpt");
+  fault::FaultPlan plan(37);
+  plan.wrong_row_pass = 1;
+  plan.wrong_row_z = 6;
+  plan.wrong_row_y = 5;
+  plan.wrong_row_sticky = true;
+  integrity::IntegrityMonitor mon;
+  integrity::IntegrityOptions opts;
+  opts.enabled = true;
+  opts.audit_rate = 1.0;
+  opts.max_reexec = 1;
+  lbm::DistributedLbmDriver<float> driver(geom, ranks, dim_t);
+  driver.scatter(initial);
+  driver.set_fault_plan(&plan);
+  driver.set_integrity(opts, &mon);
+  driver.enable_checkpointing(path, 1);
+  const fault::Status st = driver.run_guarded(prm, steps, cfg, engine);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+
+  EXPECT_GE(driver.stats().sdc_detected, 1u);
+  EXPECT_GE(driver.stats().sdc_reexecs, 1u);
+  EXPECT_GE(driver.stats().sdc_restores, 1u);
+  EXPECT_EQ(mon.checkpoint_restores(), driver.stats().sdc_restores);
+  lbm::Lattice<float> gathered(nx, ny, nz);
+  driver.gather(gathered);
+  EXPECT_EQ(lattice_mismatches(expected, gathered), 0);
   std::remove(path.c_str());
 }
 

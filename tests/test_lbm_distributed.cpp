@@ -18,10 +18,15 @@ long mismatches(const Lattice<float>& a, const Lattice<float>& b) {
   return bad;
 }
 
-class LbmDistributedP : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+// (ranks, dim_t, steps) x schedule family: the per-rank pass takes the
+// caller's cfg.family.
+class LbmDistributedP
+    : public ::testing::TestWithParam<
+          std::tuple<std::tuple<int, int, int>, core::ScheduleFamily>> {};
 
 TEST_P(LbmDistributedP, MatchesSingleDomainBitExact) {
-  const auto [ranks, dim_t, steps] = GetParam();
+  const auto [shape, family] = GetParam();
+  const auto [ranks, dim_t, steps] = shape;
   const long nx = 16, ny = 14, nz = 24;
 
   Geometry geom(nx, ny, nz);
@@ -40,6 +45,7 @@ TEST_P(LbmDistributedP, MatchesSingleDomainBitExact) {
   SweepConfig cfg;
   cfg.dim_t = dim_t;
   cfg.dim_x = 12;
+  cfg.family = family;
   run_lbm(Variant::kBlocked35D, geom, prm, reference, steps, cfg, engine);
 
   DistributedLbmDriver<float> driver(geom, ranks, dim_t);
@@ -51,13 +57,18 @@ TEST_P(LbmDistributedP, MatchesSingleDomainBitExact) {
   driver.gather(gathered);
 
   EXPECT_EQ(mismatches(reference.src(), gathered), 0)
-      << "ranks=" << ranks << " dim_t=" << dim_t << " steps=" << steps;
+      << core::to_string(family) << " ranks=" << ranks << " dim_t=" << dim_t
+      << " steps=" << steps;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, LbmDistributedP,
-                         ::testing::Values(std::tuple{1, 2, 4}, std::tuple{2, 2, 4},
-                                           std::tuple{3, 2, 6}, std::tuple{2, 3, 7},
-                                           std::tuple{4, 1, 3}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, LbmDistributedP,
+    ::testing::Combine(::testing::Values(std::tuple{1, 2, 4}, std::tuple{2, 2, 4},
+                                         std::tuple{3, 2, 6}, std::tuple{2, 3, 7},
+                                         std::tuple{4, 1, 3}),
+                       ::testing::Values(core::ScheduleFamily::kPaper35D,
+                                         core::ScheduleFamily::kDeep35D,
+                                         core::ScheduleFamily::kDiamond)));
 
 TEST(LbmDistributed, CommVolumeAccounting) {
   const long n = 20;

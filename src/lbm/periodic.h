@@ -1,25 +1,22 @@
-// Periodic boundaries for the blocked LBM solver via thick halos.
-//
-// The 3.5D engine's frozen-shell boundary model cannot express periodic
-// axes directly, so this driver uses the standard distributed-memory
-// temporal-blocking idiom instead: pad each periodic axis with a halo of
-// H = R·dim_t fluid cells (plus the mandatory 1-cell wall shell) holding
-// periodic images, run one blocked pass of dim_t steps, then refresh the
-// halos from the opposite interior. Interior results are exact because
-// wrong information from the outer shell travels only R cells per time
-// step — after dim_t steps it has reached at most the innermost halo cell,
-// never the interior. This extends the paper's scheme to the periodic
-// domains most LBM applications (channels, turbulence boxes) need.
+// Periodic boundaries for the blocked LBM solver via thick halos
+// (core/halo.h): each periodic axis is padded with H = R·dim_t fluid cells
+// plus the mandatory 1-cell wall shell (pad dim_t+1, shell 1), one blocked
+// pass of dim_t steps runs on the padded lattice, and the halos are
+// refreshed from the opposite interior between passes. This extends the
+// paper's scheme to the periodic domains most LBM applications (channels,
+// turbulence boxes) need.
 //
 // The user works in logical coordinates [0, nx) x [0, ny) x [0, nz);
 // geometry edits and probes are translated to the padded domain
 // automatically, and flags set near a periodic face are mirrored into the
-// halos at finalize time.
+// halos at finalize time by the same refresh.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 
+#include "core/blocks_4d.h"
 #include "core/engine.h"
+#include "core/halo.h"
 #include "lbm/sweeps.h"
 
 namespace s35::lbm {
@@ -37,25 +34,20 @@ class PeriodicLbmDriver {
   };
 
   PeriodicLbmDriver(long nx, long ny, long nz, const Options& opt)
-      : nx_(nx), ny_(ny), nz_(nz), opt_(opt),
-        pad_x_(opt.periodic_x ? opt.dim_t + 1 : 0),
-        pad_z_(opt.periodic_z ? opt.dim_t + 1 : 0),
-        wx_(nx + 2 * pad_x_),
-        wz_(nz + 2 * pad_z_),
-        geom_(wx_, ny, wz_),
-        pair_(wx_, ny, wz_) {
+      : opt_(opt),
+        halo_(nx, ny, nz, opt.periodic_x ? opt.dim_t + 1 : 0, 0,
+              opt.periodic_z ? opt.dim_t + 1 : 0, /*shell_width=*/1),
+        geom_(halo_.padded(0), ny, halo_.padded(2)),
+        pair_(halo_.padded(0), ny, halo_.padded(2)) {
     S35_CHECK(opt.dim_t >= 1);
-    // Halo refresh copies halo <- interior + n; needs n >= halo width.
-    S35_CHECK_MSG(!opt.periodic_x || nx >= pad_x_, "domain too narrow for halo");
-    S35_CHECK_MSG(!opt.periodic_z || nz >= pad_z_, "domain too shallow for halo");
     geom_.set_box_walls();
     pair_.src().init_equilibrium();
     pair_.dst().init_equilibrium();
   }
 
-  long nx() const { return nx_; }
-  long ny() const { return ny_; }
-  long nz() const { return nz_; }
+  long nx() const { return halo_.n[0]; }
+  long ny() const { return halo_.n[1]; }
+  long nz() const { return halo_.n[2]; }
 
   // Geometry edits in logical coordinates. Non-periodic axes still carry
   // the outer wall shell, so logical boundary faces on those axes are the
@@ -68,31 +60,16 @@ class PeriodicLbmDriver {
   // Marks the y = ny-1 plane (minus edges) as a moving wall across the
   // whole padded domain, halos included.
   void set_lid() {
-    for (long z = 1; z < wz_ - 1; ++z)
-      for (long x = 1; x < wx_ - 1; ++x) geom_.set(x, ny_ - 1, z, kMovingWall);
+    for (long z = 1; z < halo_.padded(2) - 1; ++z)
+      for (long x = 1; x < halo_.padded(0) - 1; ++x)
+        geom_.set(x, ny() - 1, z, kMovingWall);
   }
 
   // Mirrors flags into the halos and freezes the geometry. Call after all
   // set_flag edits and before run().
   void finalize() {
-    if (opt_.periodic_x) {
-      for (long z = 0; z < wz_; ++z)
-        for (long y = 0; y < ny_; ++y) {
-          std::uint8_t* row = geom_.row(y, z);
-          for (long x = 1; x < pad_x_; ++x) row[x] = row[x + nx_];
-          for (long x = pad_x_ + nx_; x < wx_ - 1; ++x) row[x] = row[x - nx_];
-        }
-    }
-    if (opt_.periodic_z) {
-      for (long y = 0; y < ny_; ++y) {
-        for (long z = 1; z < pad_z_; ++z)
-          std::memcpy(geom_.row(y, z), geom_.row(y, z + nz_),
-                      static_cast<std::size_t>(geom_.pitch()));
-        for (long z = pad_z_ + nz_; z < wz_ - 1; ++z)
-          std::memcpy(geom_.row(y, z), geom_.row(y, z - nz_),
-                      static_cast<std::size_t>(geom_.pitch()));
-      }
-    }
+    core::refresh_periodic_halos<std::uint8_t>(
+        halo_, 1, [this](int, long y, long z) { return geom_.row(y, z); });
     geom_.finalize();
   }
 
@@ -107,60 +84,28 @@ class PeriodicLbmDriver {
   // Advances `steps` time steps with halo refreshes between blocked passes.
   void run(int steps, const BgkParams<T>& prm, core::Engine35& engine) {
     S35_CHECK_MSG(geom_.finalized(), "call finalize() first");
-    int remaining = steps;
-    while (remaining > 0) {
-      const int dt = remaining < opt_.dim_t ? remaining : opt_.dim_t;
-      refresh_halos();
+    core::for_each_pass(steps, opt_.dim_t, [&](int dt) {
+      core::refresh_periodic_halos(halo_, pair_.src());
       SweepConfig cfg;
       cfg.dim_t = dt;
-      cfg.dim_x = opt_.dim_x > 0 ? opt_.dim_x : wx_;
-      cfg.dim_y = opt_.dim_y > 0 ? opt_.dim_y : ny_;
+      cfg.dim_x = opt_.dim_x > 0 ? opt_.dim_x : halo_.padded(0);
+      cfg.dim_y = opt_.dim_y > 0 ? opt_.dim_y : ny();
       run_lbm<T>(opt_.variant, geom_, prm, pair_, dt, cfg, engine);
-      remaining -= dt;
-    }
+    });
   }
 
  private:
   long px(long x) const {
-    S35_DCHECK(x >= 0 && x < nx_);
-    return x + pad_x_;
+    S35_DCHECK(x >= 0 && x < nx());
+    return x + halo_.pad[0];
   }
   long pz(long z) const {
-    S35_DCHECK(z >= 0 && z < nz_);
-    return z + pad_z_;
+    S35_DCHECK(z >= 0 && z < nz());
+    return z + halo_.pad[2];
   }
 
-  // Copies periodic images into the halo cells of the *source* lattice.
-  // X halos first (interior z only), then Z halos over the full X range so
-  // the corner blocks receive already-refreshed X data.
-  void refresh_halos() {
-    Lattice<T>& lat = pair_.src();
-    if (opt_.periodic_x) {
-      for (int i = 0; i < kQ; ++i)
-        for (long z = pad_z_; z < pad_z_ + nz_; ++z)
-          for (long y = 0; y < ny_; ++y) {
-            T* row = lat.row(i, y, z);
-            for (long x = 1; x < pad_x_; ++x) row[x] = row[x + nx_];
-            for (long x = pad_x_ + nx_; x < wx_ - 1; ++x) row[x] = row[x - nx_];
-          }
-    }
-    if (opt_.periodic_z) {
-      for (int i = 0; i < kQ; ++i)
-        for (long y = 0; y < ny_; ++y) {
-          for (long z = 1; z < pad_z_; ++z)
-            std::memcpy(lat.row(i, y, z), lat.row(i, y, z + nz_),
-                        static_cast<std::size_t>(lat.pitch()) * sizeof(T));
-          for (long z = pad_z_ + nz_; z < wz_ - 1; ++z)
-            std::memcpy(lat.row(i, y, z), lat.row(i, y, z - nz_),
-                        static_cast<std::size_t>(lat.pitch()) * sizeof(T));
-        }
-    }
-  }
-
-  long nx_, ny_, nz_;
   Options opt_;
-  long pad_x_, pad_z_;
-  long wx_, wz_;
+  core::PeriodicHalo halo_;
   Geometry geom_;
   LatticePair<T> pair_;
 };

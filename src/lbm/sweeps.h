@@ -3,7 +3,8 @@
 //   kNaive        — full-lattice pull collide-stream per time step.
 //   kTemporalOnly — Engine35, single whole-plane tile (helps only when an
 //                   entire XY slab set fits on chip — the 64^3 bars).
-//   kBlocked4D    — 3D spatial + temporal baseline (the "+8%" bar).
+//   kBlocked4D    — 3D spatial + temporal baseline (the "+8%" bar;
+//                   core/blocks_4d.h).
 //   kBlocked35D   — the paper's scheme (dim_t = 3 on the Core i7).
 //
 // LBM has no spatial reuse, so there is no spatial-only variant: "This
@@ -14,6 +15,7 @@
 
 #include <string>
 
+#include "core/blocks_4d.h"
 #include "core/engine.h"
 #include "core/kernel_options.h"
 #include "core/passes.h"
@@ -130,13 +132,6 @@ fault::Status run_lbm_engine(Variant variant, const Geometry& geom,
       });
 }
 
-// -------------------------------------------------------------- 4D blocks
-
-template <typename T, typename Tag>
-void run_lbm_4d_pass(const Geometry& geom, const BgkParams<T>& prm,
-                     const Lattice<T>& src, Lattice<T>& dst, long dim_x, long dim_y,
-                     long dim_z, int dim_t, parallel::ThreadTeam& team);
-
 // ------------------------------------------------------------- top level
 
 template <typename T, typename Tag = simd::DefaultTag>
@@ -161,18 +156,13 @@ void run_lbm(Variant variant, const Geometry& geom, const BgkParams<T>& prm,
       return;
 
     case Variant::kBlocked4D: {
-      S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked4D needs dim_x");
-      const long dx = cfg.dim_x;
-      const long dy = cfg.dim_y > 0 ? cfg.dim_y : dx;
-      const long dz = cfg.dim_z > 0 ? cfg.dim_z : dx;
-      int remaining = steps;
-      while (remaining > 0) {
-        const int dt = remaining < cfg.dim_t ? remaining : cfg.dim_t;
-        run_lbm_4d_pass<T, Tag>(geom, prm, pair.src(), pair.dst(), dx, dy, dz, dt,
-                                engine.team());
-        pair.swap();
-        remaining -= dt;
-      }
+      S35_CHECK(geom.finalized());
+      const CollideCtx<T> ctx = make_collide_ctx(prm);
+      core::run_4d(pair, steps, 1, cfg, engine.team(),
+                   [&](const auto& in, const auto& out, long y, long z, long x0,
+                       long x1) {
+                     lbm_update_row<T, Tag>(geom, ctx, in, out, y, z, x0, x1);
+                   });
       return;
     }
   }
@@ -206,5 +196,3 @@ fault::Status run_lbm_verified(Variant variant, const Geometry& geom,
 }
 
 }  // namespace s35::lbm
-
-#include "lbm/sweep_4d.h"

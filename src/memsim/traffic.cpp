@@ -1,13 +1,18 @@
 #include "memsim/traffic.h"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "core/blocks_4d.h"
 #include "core/engine.h"
 #include "core/schedule.h"
 #include "core/tiling.h"
 #include "grid/grid3.h"
+#include "lbm/lattice.h"
 #include "telemetry/telemetry.h"
 
 namespace s35::memsim {
@@ -67,13 +72,6 @@ std::unique_ptr<Mem> make_mem(const TraceConfig& cfg) {
   return std::make_unique<CacheMem>(cfg.cache);
 }
 
-constexpr int kLbmQ = 19;
-// D3Q19 velocity set (duplicated from s35::lbm to keep this library
-// independent of the kernel libraries; checked for equality in tests).
-constexpr int kCx[kLbmQ] = {0, 1, -1, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 1, -1, 0, 0, 0, 0};
-constexpr int kCy[kLbmQ] = {0, 0, 0, 1, -1, 0, 0, 1, -1, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1};
-constexpr int kCz[kLbmQ] = {0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 1, -1, -1, 1, 1, -1, -1, 1};
-
 // Simulated address space: arrays laid out back to back at 1 MB alignment,
 // with the same padded-pitch row layout the real grids use.
 class Layout {
@@ -117,111 +115,321 @@ class Layout {
   int count_ = 0;
 };
 
-struct RowSet {
-  // (dz, dy) row offsets a compute step must read.
-  std::vector<std::pair<int, int>> rows;
+// What a sweep touches per cell row, in the order its kernels touch it:
+// the optional flag row, then for each array a the rows reads[a] of the
+// previous time instance followed by the write of a's output row. A read
+// covers the written x range [x0, x1) shifted by dx and widened by `widen`
+// on both sides.
+struct RowRead {
+  int dz, dy, dx, widen;
 };
 
-RowSet stencil_rows(int radius, bool cube) {
-  RowSet rs;
-  for (int dz = -radius; dz <= radius; ++dz)
-    for (int dy = -radius; dy <= radius; ++dy) {
-      if (!cube && dz != 0 && dy != 0) continue;  // cross: skip zy-diagonal rows
-      rs.rows.push_back({dz, dy});
-    }
-  return rs;
+struct FieldTrace {
+  std::vector<std::vector<RowRead>> reads;  // one list per array
+  bool flags = false;      // a 1-byte cell-flag row is read before the arrays
+  bool clamp_x = false;    // 3.5D ring reads are clipped to the domain in x
+  bool streaming = false;  // external output rows use non-temporal stores
+  long shell = 0;          // frozen boundary cells the naive/3D walk skips
+};
+
+// One array; its (dz, dy) neighbour rows widened by R (the 7-point cross
+// skips the zy-diagonal rows, the 27-point cube reads them all).
+FieldTrace stencil_field(const TraceConfig& cfg) {
+  FieldTrace f;
+  f.reads.resize(1);
+  for (int dz = -cfg.radius; dz <= cfg.radius; ++dz)
+    for (int dy = -cfg.radius; dy <= cfg.radius; ++dy)
+      if (cfg.cube_neighborhood || dz == 0 || dy == 0)
+        f.reads[0].push_back({dz, dy, 0, cfg.radius});
+  f.clamp_x = true;
+  f.streaming = cfg.streaming_stores;
+  f.shell = cfg.radius;
+  return f;
 }
 
-// --------------------------------------------------------------- stencil --
+// 19 SoA arrays (pull scheme: distribution i gathers from x - c_i) plus the
+// cell flags.
+FieldTrace lbm_field() {
+  FieldTrace f;
+  for (int i = 0; i < lbm::kQ; ++i)
+    f.reads.push_back({{-lbm::kCz[i], -lbm::kCy[i], -lbm::kCx[i], 0}});
+  f.flags = true;
+  return f;
+}
 
-// Tracing Engine35 kernel policy mirroring StencilSlabKernel's accesses.
-class TraceStencilSlab {
+// Replays one sweep of a field: owns the simulated memory, the address
+// layout and the current Jacobi source/destination base of every array.
+class Replay {
  public:
-  TraceStencilSlab(Mem& cache, Layout& lay, std::uint64_t src, std::uint64_t dst,
-                   long dim_x, long dim_y, int dim_t, int ring, const RowSet& rows,
-                   bool streaming, int radius)
-      : cache_(cache), lay_(lay), src_(src), dst_(dst),
-        buf_pitch_(grid::padded_pitch(dim_x, lay.elem())), buf_ny_(dim_y), ring_(ring),
-        rows_(rows), streaming_(streaming), radius_(radius) {
-    buf_base_ = lay.reserve(static_cast<std::uint64_t>(buf_pitch_) * dim_y * ring *
-                            dim_t * lay.elem());
+  Replay(const TraceConfig& cfg, FieldTrace field)
+      : cfg_(cfg), field_(std::move(field)),
+        lay_(cfg.nx, cfg.ny, cfg.nz, cfg.elem_bytes) {
+    for (int a = 0; a < arrays(); ++a) src_.push_back(lay_.reserve_grid());
+    for (int a = 0; a < arrays(); ++a) dst_.push_back(lay_.reserve_grid());
+    if (field_.flags)
+      flags_ = lay_.reserve(static_cast<std::uint64_t>(grid::padded_pitch(cfg.nx, 1)) *
+                            cfg.ny * cfg.nz);
+    mem_ = make_mem(cfg);
+  }
+
+  void run(Scheme scheme) {
+    switch (scheme) {
+      case Scheme::kNaive:
+        for (int s = 0; s < cfg_.steps; ++s) sweep_step(cfg_.nx, cfg_.ny, cfg_.nz);
+        return;
+      case Scheme::kSpatial3D: {
+        const long bx = cfg_.dim_x > 0 ? cfg_.dim_x : cfg_.nx;
+        const long by = cfg_.dim_y > 0 ? cfg_.dim_y : bx;
+        const long bz = cfg_.dim_z > 0 ? cfg_.dim_z : bx;
+        for (int s = 0; s < cfg_.steps; ++s) sweep_step(bx, by, bz);
+        return;
+      }
+      case Scheme::kBlocked4D:
+        run_4d();
+        return;
+      case Scheme::kSpatial25D:
+      case Scheme::kTemporalOnly:
+      case Scheme::kBlocked35D:
+        run_35d(scheme);
+        return;
+    }
+  }
+
+  TrafficReport finish() {
+    TrafficReport rep;
+    mem_->finish(rep);
+    rep.updates = static_cast<std::uint64_t>(cfg_.nx) * cfg_.ny * cfg_.nz *
+                  static_cast<std::uint64_t>(cfg_.steps);
+    // Mirror the replayed external traffic into the telemetry registry so
+    // simulated and wall-clock runs report through one channel.
+    telemetry::add_external_bytes(0, rep.external_read_bytes, rep.external_write_bytes);
+    return rep;
+  }
+
+ private:
+  class Slab;
+
+  int arrays() const { return static_cast<int>(field_.reads.size()); }
+  std::uint64_t bytes(long elems) const {
+    return static_cast<std::uint64_t>(elems) * lay_.elem();
+  }
+
+  void read_flags(long x0, long x1, long y, long z) {
+    mem_->read(flags_ + static_cast<std::uint64_t>((z * lay_.ny() + y) *
+                                                   grid::padded_pitch(lay_.nx(), 1)) +
+                   static_cast<std::uint64_t>(x0),
+               static_cast<std::uint64_t>(x1 - x0));
+  }
+
+  void write_external(int a, long x0, long y, long z, std::uint64_t n) {
+    if (field_.streaming) {
+      mem_->stream_write(lay_.at(dst_[a], x0, y, z), n);
+    } else {
+      mem_->write(lay_.at(dst_[a], x0, y, z), n);
+    }
+  }
+
+  // One Jacobi step walking the domain minus its frozen shell in bx x by x
+  // bz blocks (one block: the naive sweep). Naive rows stream from the
+  // source grid directly, so a read's x shift stays inside the row it
+  // already covers and is not replayed; an array whose source row lies
+  // outside the domain (LBM edge rows) moves nothing.
+  void sweep_step(long bx, long by, long bz) {
+    const long s = field_.shell, nx = cfg_.nx, ny = cfg_.ny, nz = cfg_.nz;
+    for (long z0 = s; z0 < nz - s; z0 += bz)
+      for (long y0 = s; y0 < ny - s; y0 += by)
+        for (long x0 = s; x0 < nx - s; x0 += bx) {
+          const long x1 = std::min(x0 + bx, nx - s);
+          for (long z = z0; z < std::min(z0 + bz, nz - s); ++z)
+            for (long y = y0; y < std::min(y0 + by, ny - s); ++y) {
+              if (field_.flags) read_flags(x0, x1, y, z);
+              for (int a = 0; a < arrays(); ++a) {
+                const auto& reads = field_.reads[static_cast<std::size_t>(a)];
+                const auto outside = [&](const RowRead& r) {
+                  return y + r.dy < 0 || y + r.dy >= ny || z + r.dz < 0 || z + r.dz >= nz;
+                };
+                if (std::any_of(reads.begin(), reads.end(), outside)) continue;
+                for (const RowRead& r : reads)
+                  mem_->read(lay_.at(src_[a], x0 - r.widen, y + r.dy, z + r.dz),
+                             bytes(x1 - x0 + 2 * r.widen));
+                write_external(a, x0, y, z, bytes(x1 - x0));
+              }
+            }
+        }
+    std::swap(src_, dst_);
+  }
+
+  // 4D blocks (core/blocks_4d.h) with a ping-pong buffer pair, so buffer
+  // residency competes for cache capacity. Buffer reads are not clipped to
+  // the domain, and block steps read no flag rows.
+  void run_4d() {
+    const core::Dims4D d = core::dims_4d(cfg_);
+    const int R = cfg_.radius;
+    const long bpitch = grid::padded_pitch(d.x, lay_.elem());
+    const std::uint64_t half =
+        static_cast<std::uint64_t>(bpitch) * d.y * d.z * arrays() * lay_.elem();
+    std::uint64_t buf_a = lay_.reserve(half);
+    std::uint64_t buf_b = lay_.reserve(half);
+    core::for_each_pass(cfg_.steps, cfg_.dim_t, [&](int dt) {
+      for (const core::Block4D& blk :
+           core::blocks_4d(cfg_.nx, cfg_.ny, cfg_.nz, d, R, dt)) {
+        const core::Extent lx = blk.x.load, ly = blk.y.load, lz = blk.z.load;
+        const auto brow = [&](std::uint64_t base, int a, long y, long z, long x) {
+          const std::uint64_t row = (static_cast<std::uint64_t>(a) * d.z +
+                                     static_cast<std::uint64_t>(z - lz.begin)) *
+                                        d.y +
+                                    static_cast<std::uint64_t>(y - ly.begin);
+          return base +
+                 (row * bpitch + static_cast<std::uint64_t>(x - lx.begin)) * lay_.elem();
+        };
+        for (int a = 0; a < arrays(); ++a)
+          for (long z = lz.begin; z < lz.end; ++z)
+            for (long y = ly.begin; y < ly.end; ++y) {
+              mem_->read(lay_.at(src_[a], lx.begin, y, z), bytes(lx.size()));
+              mem_->write(brow(buf_a, a, y, z, lx.begin), bytes(lx.size()));
+            }
+        for (int t = 1; t <= dt; ++t) {
+          const core::Extent vx = core::shrink_extent(lx, cfg_.nx, R, t);
+          const core::Extent vy = core::shrink_extent(ly, cfg_.ny, R, t);
+          const core::Extent vz = core::shrink_extent(lz, cfg_.nz, R, t);
+          for (long z = vz.begin; z < vz.end; ++z)
+            for (long y = vy.begin; y < vy.end; ++y)
+              for (int a = 0; a < arrays(); ++a) {
+                for (const RowRead& r : field_.reads[static_cast<std::size_t>(a)])
+                  mem_->read(
+                      brow(buf_a, a, y + r.dy, z + r.dz, vx.begin + r.dx - r.widen),
+                      bytes(vx.size() + 2 * r.widen));
+                if (t == dt) {
+                  write_external(a, vx.begin, y, z, bytes(vx.size()));
+                } else {
+                  mem_->write(brow(buf_b, a, y, z, vx.begin), bytes(vx.size()));
+                }
+              }
+          std::swap(buf_a, buf_b);
+        }
+      }
+      std::swap(src_, dst_);
+    });
+  }
+
+  // The Engine35 schemes through the tracing kernel policy Slab below.
+  void run_35d(Scheme scheme);
+
+  const TraceConfig& cfg_;
+  FieldTrace field_;
+  Layout lay_;
+  std::vector<std::uint64_t> src_, dst_;
+  std::uint64_t flags_ = 0;
+  std::unique_ptr<Mem> mem_;
+};
+
+// Tracing Engine35 kernel policy mirroring the slab kernels' accesses
+// (StencilSlabKernel, LbmSlabKernel): one ring of dim_t instances x `ring`
+// plane slots per array.
+class Replay::Slab {
+ public:
+  Slab(Replay& r, long dim_x, long dim_y, int dim_t, int ring)
+      : r_(r), mem_(*r.mem_), lay_(r.lay_), reads_(r.field_.reads), src_(r.src_.data()),
+        arrays_(r.arrays()), radius_(r.cfg_.radius),
+        x_lo_(r.field_.clamp_x ? 0 : std::numeric_limits<long>::min()),
+        x_hi_(r.field_.clamp_x ? lay_.nx() : std::numeric_limits<long>::max()),
+        buf_pitch_(grid::padded_pitch(dim_x, lay_.elem())), buf_ny_(dim_y), ring_(ring) {
+    buf_base_ = r.lay_.reserve(static_cast<std::uint64_t>(buf_pitch_) * dim_y * ring *
+                               dim_t * arrays_ * lay_.elem());
   }
 
   void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
     const std::uint64_t n = static_cast<std::uint64_t>(x1 - x0) * lay_.elem();
     switch (step.kind) {
       case core::StepKind::kLoad:
-        cache_.read(lay_.at(src_, x0, y, step.z), n);
-        cache_.write(buf_addr(tile, 0, step.dst_slot, y, x0), n);
+        for (int a = 0; a < arrays_; ++a) {
+          mem_.read(lay_.at(src_[a], x0, y, step.z), n);
+          mem_.write(buf_addr(tile, 0, step.dst_slot, a, y, x0), n);
+        }
         return;
       case core::StepKind::kCopy:
-        cache_.read(buf_addr(tile, step.t - 1, step.src_slots[0], y, x0), n);
-        external_or_buffer_write(tile, step, y, x0, n);
-        return;
-      case core::StepKind::kCompute: {
-        const long ra = x0 - radius_ >= 0 ? x0 - radius_ : 0;
-        const long rb = x1 + radius_ <= lay_.nx() ? x1 + radius_ : lay_.nx();
-        for (const auto& [dz, dy] : rows_.rows) {
-          const int slot = step.src_slots[static_cast<std::size_t>(dz + radius_)];
-          cache_.read(buf_addr(tile, step.t - 1, slot, y + dy, ra),
-                      static_cast<std::uint64_t>(rb - ra) * lay_.elem());
+        for (int a = 0; a < arrays_; ++a) {
+          mem_.read(buf_addr(tile, step.t - 1, step.src_slots[0], a, y, x0), n);
+          store(tile, step, a, y, x0, n);
         }
-        external_or_buffer_write(tile, step, y, x0, n);
         return;
-      }
+      case core::StepKind::kCompute:
+        if (r_.field_.flags) r_.read_flags(x0, x1, y, step.z);
+        for (int a = 0; a < arrays_; ++a) {
+          for (const RowRead& rd : reads_[static_cast<std::size_t>(a)]) {
+            const long ra = std::max(x0 + rd.dx - rd.widen, x_lo_);
+            const long rb = std::min(x1 + rd.dx + rd.widen, x_hi_);
+            const int slot = step.src_slots[static_cast<std::size_t>(rd.dz + radius_)];
+            mem_.read(buf_addr(tile, step.t - 1, slot, a, y + rd.dy, ra),
+                      static_cast<std::uint64_t>(rb - ra) * lay_.elem());
+          }
+          store(tile, step, a, y, x0, n);
+        }
+        return;
     }
   }
 
  private:
-  void external_or_buffer_write(const core::Tile& tile, const core::Step& step, long y,
-                                long x0, std::uint64_t n) {
+  void store(const core::Tile& tile, const core::Step& step, int a, long y, long x0,
+             std::uint64_t n) {
     if (step.to_external) {
-      if (streaming_) {
-        cache_.stream_write(lay_.at(dst_, x0, y, step.z), n);
-      } else {
-        cache_.write(lay_.at(dst_, x0, y, step.z), n);
-      }
+      r_.write_external(a, x0, y, step.z, n);
     } else {
-      cache_.write(buf_addr(tile, step.t, step.dst_slot, y, x0), n);
+      mem_.write(buf_addr(tile, step.t, step.dst_slot, a, y, x0), n);
     }
   }
 
-  std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, long y, long x) const {
+  std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, int a, long y,
+                         long x) const {
     const std::uint64_t plane =
-        (static_cast<std::uint64_t>(instance) * ring_ + static_cast<std::uint64_t>(slot)) *
+        ((static_cast<std::uint64_t>(instance) * ring_ + static_cast<std::uint64_t>(slot)) *
+             static_cast<std::uint64_t>(arrays_) +
+         static_cast<std::uint64_t>(a)) *
         static_cast<std::uint64_t>(buf_pitch_) * buf_ny_;
     return buf_base_ + (plane + static_cast<std::uint64_t>(y - tile.load.y.begin) * buf_pitch_ +
                         static_cast<std::uint64_t>(x - tile.load.x.begin)) *
                            lay_.elem();
   }
 
-  Mem& cache_;
+  // The hot-path state is copied out of the Replay once per pass.
+  Replay& r_;
+  Mem& mem_;
   const Layout& lay_;
-  std::uint64_t src_, dst_, buf_base_;
+  const std::vector<std::vector<RowRead>>& reads_;
+  const std::uint64_t* src_;
+  int arrays_, radius_;
+  long x_lo_, x_hi_;  // the x range ring reads are clipped to
+  std::uint64_t buf_base_;
   long buf_pitch_, buf_ny_;
   int ring_;
-  RowSet rows_;
-  bool streaming_;
-  int radius_;
 };
 
-void trace_stencil_naive_rows(Mem& cache, const Layout& lay, std::uint64_t src,
-                              std::uint64_t dst, const RowSet& rows, int radius,
-                              bool streaming, long x0, long x1, long y0, long y1,
-                              long z0, long z1) {
-  const std::uint64_t n = static_cast<std::uint64_t>(x1 - x0) * lay.elem();
-  const long ra = x0 - radius, rb = x1 + radius;
-  for (long z = z0; z < z1; ++z)
-    for (long y = y0; y < y1; ++y) {
-      for (const auto& [dz, dy] : rows.rows)
-        cache.read(lay.at(src, ra, y + dy, z + dz),
-                   static_cast<std::uint64_t>(rb - ra) * lay.elem());
-      if (streaming) {
-        cache.stream_write(lay.at(dst, x0, y, z), n);
-      } else {
-        cache.write(lay.at(dst, x0, y, z), n);
-      }
-    }
+// The same Tiling / TemporalSchedule / engine as the real sweeps.
+void Replay::run_35d(Scheme scheme) {
+  long dim_x = cfg_.dim_x > 0 ? cfg_.dim_x : cfg_.nx;
+  long dim_y = cfg_.dim_y > 0 ? cfg_.dim_y : dim_x;
+  int pass_t = cfg_.dim_t;
+  if (scheme == Scheme::kSpatial25D) pass_t = 1;
+  if (scheme == Scheme::kTemporalOnly) {
+    dim_x = cfg_.nx;
+    dim_y = cfg_.ny;
+  }
+  core::Engine35 engine(1);
+  core::for_each_pass(cfg_.steps, pass_t, [&](int dt) {
+    const core::Tiling tiling(cfg_.nx, cfg_.ny, dim_x, dim_y, cfg_.radius, dt);
+    const core::TemporalSchedule sched(cfg_.nz, cfg_.radius, dt, false, cfg_.family,
+                                       cfg_.dim_z);
+    Slab kernel(*this, dim_x, dim_y, dt, sched.planes_per_instance());
+    engine.run_pass(kernel, tiling, sched);
+    std::swap(src_, dst_);
+  });
+}
+
+TrafficReport replay(Scheme scheme, const TraceConfig& cfg, FieldTrace field) {
+  S35_CHECK(cfg.nx > 0 && cfg.ny > 0 && cfg.nz > 0 && cfg.steps >= 1);
+  Replay r(cfg, std::move(field));
+  r.run(scheme);
+  return r.finish();
 }
 
 }  // namespace
@@ -245,382 +453,32 @@ const char* to_string(Scheme s) {
 }
 
 TrafficReport trace_stencil(Scheme scheme, const TraceConfig& cfg) {
-  S35_CHECK(cfg.nx > 0 && cfg.ny > 0 && cfg.nz > 0 && cfg.steps >= 1);
-  Layout lay(cfg.nx, cfg.ny, cfg.nz, cfg.elem_bytes);
-  std::uint64_t src = lay.reserve_grid();
-  std::uint64_t dst = lay.reserve_grid();
-  auto mem = make_mem(cfg);
-  Mem& cache = *mem;
-  const RowSet rows = stencil_rows(cfg.radius, cfg.cube_neighborhood);
-  const long R = cfg.radius;
-
-  switch (scheme) {
-    case Scheme::kNaive:
-      for (int s = 0; s < cfg.steps; ++s) {
-        trace_stencil_naive_rows(cache, lay, src, dst, rows, cfg.radius,
-                                 cfg.streaming_stores, R, cfg.nx - R, R, cfg.ny - R, R,
-                                 cfg.nz - R);
-        std::swap(src, dst);
-      }
-      break;
-
-    case Scheme::kSpatial3D: {
-      const long bx = cfg.dim_x > 0 ? cfg.dim_x : cfg.nx;
-      const long by = cfg.dim_y > 0 ? cfg.dim_y : bx;
-      const long bz = cfg.dim_z > 0 ? cfg.dim_z : bx;
-      for (int s = 0; s < cfg.steps; ++s) {
-        for (long z0 = R; z0 < cfg.nz - R; z0 += bz)
-          for (long y0 = R; y0 < cfg.ny - R; y0 += by)
-            for (long x0 = R; x0 < cfg.nx - R; x0 += bx)
-              trace_stencil_naive_rows(
-                  cache, lay, src, dst, rows, cfg.radius, cfg.streaming_stores, x0,
-                  std::min(x0 + bx, cfg.nx - R), y0, std::min(y0 + by, cfg.ny - R), z0,
-                  std::min(z0 + bz, cfg.nz - R));
-        std::swap(src, dst);
-      }
-      break;
-    }
-
-    case Scheme::kBlocked4D: {
-      const long dx = cfg.dim_x, dy4 = cfg.dim_y > 0 ? cfg.dim_y : dx,
-                 dz4 = cfg.dim_z > 0 ? cfg.dim_z : dx;
-      S35_CHECK(dx > 0);
-      const long bpitch = grid::padded_pitch(dx, cfg.elem_bytes);
-      const std::uint64_t half =
-          static_cast<std::uint64_t>(bpitch) * dy4 * dz4 * cfg.elem_bytes;
-      std::uint64_t buf_a = lay.reserve(half);
-      std::uint64_t buf_b = lay.reserve(half);
-      int remaining = cfg.steps;
-      while (remaining > 0) {
-        const int dt = remaining < cfg.dim_t ? remaining : cfg.dim_t;
-        const auto xs = core::split_axis_tiles(cfg.nx, dx, cfg.radius, dt);
-        const auto ys = core::split_axis_tiles(cfg.ny, dy4, cfg.radius, dt);
-        const auto zs = core::split_axis_tiles(cfg.nz, dz4, cfg.radius, dt);
-        for (const auto& az : zs)
-          for (const auto& ay : ys)
-            for (const auto& ax : xs) {
-              const auto brow = [&](std::uint64_t base, long y, long z, long x) {
-                return base + (static_cast<std::uint64_t>((z - az.load.begin) * dy4 +
-                                                          (y - ay.load.begin)) *
-                                   bpitch +
-                               static_cast<std::uint64_t>(x - ax.load.begin)) *
-                                  cfg.elem_bytes;
-              };
-              // Load window into buffer A.
-              for (long z = az.load.begin; z < az.load.end; ++z)
-                for (long y = ay.load.begin; y < ay.load.end; ++y) {
-                  const std::uint64_t n =
-                      static_cast<std::uint64_t>(ax.load.size()) * cfg.elem_bytes;
-                  cache.read(lay.at(src, ax.load.begin, y, z), n);
-                  cache.write(brow(buf_a, y, z, ax.load.begin), n);
-                }
-              // In-buffer time steps with ping-pong buffers.
-              for (int t = 1; t <= dt; ++t) {
-                const auto vx = core::shrink_extent(ax.load, cfg.nx, cfg.radius, t);
-                const auto vy = core::shrink_extent(ay.load, cfg.ny, cfg.radius, t);
-                const auto vz = core::shrink_extent(az.load, cfg.nz, cfg.radius, t);
-                const bool last = (t == dt);
-                const std::uint64_t n =
-                    static_cast<std::uint64_t>(vx.size() + 2 * R) * cfg.elem_bytes;
-                for (long z = vz.begin; z < vz.end; ++z)
-                  for (long y = vy.begin; y < vy.end; ++y) {
-                    for (const auto& [ddz, ddy] : rows.rows)
-                      cache.read(brow(buf_a, y + ddy, z + ddz, vx.begin - R), n);
-                    const std::uint64_t wn =
-                        static_cast<std::uint64_t>(vx.size()) * cfg.elem_bytes;
-                    if (last) {
-                      if (cfg.streaming_stores) {
-                        cache.stream_write(lay.at(dst, vx.begin, y, z), wn);
-                      } else {
-                        cache.write(lay.at(dst, vx.begin, y, z), wn);
-                      }
-                    } else {
-                      cache.write(brow(buf_b, y, z, vx.begin), wn);
-                    }
-                  }
-                std::swap(buf_a, buf_b);
-              }
-            }
-        std::swap(src, dst);
-        remaining -= dt;
-      }
-      break;
-    }
-
-    case Scheme::kSpatial25D:
-    case Scheme::kTemporalOnly:
-    case Scheme::kBlocked35D: {
-      long dim_x = cfg.dim_x > 0 ? cfg.dim_x : cfg.nx;
-      long dim_y = cfg.dim_y > 0 ? cfg.dim_y : dim_x;
-      int pass_t = cfg.dim_t;
-      if (scheme == Scheme::kSpatial25D) pass_t = 1;
-      if (scheme == Scheme::kTemporalOnly) {
-        dim_x = cfg.nx;
-        dim_y = cfg.ny;
-      }
-      core::Engine35 engine(1);
-      int remaining = cfg.steps;
-      while (remaining > 0) {
-        const int dt = remaining < pass_t ? remaining : pass_t;
-        const core::Tiling tiling(cfg.nx, cfg.ny, dim_x, dim_y, cfg.radius, dt);
-        const core::TemporalSchedule sched(cfg.nz, cfg.radius, dt, false, cfg.family,
-                                           cfg.dim_z);
-        TraceStencilSlab kernel(cache, lay, src, dst, dim_x, dim_y, dt,
-                                sched.planes_per_instance(), rows, cfg.streaming_stores,
-                                cfg.radius);
-        engine.run_pass(kernel, tiling, sched);
-        std::swap(src, dst);
-        remaining -= dt;
-      }
-      break;
-    }
-  }
-
-  TrafficReport rep;
-  cache.finish(rep);
-  rep.updates = static_cast<std::uint64_t>(cfg.nx) * cfg.ny * cfg.nz *
-                static_cast<std::uint64_t>(cfg.steps);
-  // Mirror the replayed external traffic into the telemetry registry so
-  // simulated and wall-clock runs report through one channel.
-  telemetry::add_external_bytes(0, rep.external_read_bytes, rep.external_write_bytes);
-  return rep;
+  return replay(scheme, cfg, stencil_field(cfg));
 }
-
-// ------------------------------------------------------------------- LBM --
-
-namespace {
-
-// Tracing Engine35 kernel mirroring LbmSlabKernel.
-class TraceLbmSlab {
- public:
-  TraceLbmSlab(Mem& cache, Layout& lay, const std::uint64_t* src,
-               const std::uint64_t* dst, std::uint64_t flags, long dim_x, long dim_y,
-               int dim_t, int ring)
-      : cache_(cache), lay_(lay), src_(src), dst_(dst), flags_(flags),
-        buf_pitch_(grid::padded_pitch(dim_x, lay.elem())), buf_ny_(dim_y), ring_(ring) {
-    buf_base_ = lay.reserve(static_cast<std::uint64_t>(buf_pitch_) * dim_y * ring *
-                            dim_t * kLbmQ * lay.elem());
-  }
-
-  void execute(const core::Tile& tile, const core::Step& step, long y, long x0, long x1) {
-    const std::uint64_t n = static_cast<std::uint64_t>(x1 - x0) * lay_.elem();
-    switch (step.kind) {
-      case core::StepKind::kLoad:
-        for (int i = 0; i < kLbmQ; ++i) {
-          cache_.read(lay_.at(src_[i], x0, y, step.z), n);
-          cache_.write(buf_addr(tile, 0, step.dst_slot, i, y, x0), n);
-        }
-        return;
-      case core::StepKind::kCopy:
-        for (int i = 0; i < kLbmQ; ++i) {
-          cache_.read(buf_addr(tile, step.t - 1, step.src_slots[0], i, y, x0), n);
-          if (step.to_external) {
-            cache_.write(lay_.at(dst_[i], x0, y, step.z), n);
-          } else {
-            cache_.write(buf_addr(tile, step.t, step.dst_slot, i, y, x0), n);
-          }
-        }
-        return;
-      case core::StepKind::kCompute:
-        // Flag row for the cell + gathers from 19 upstream rows.
-        cache_.read(flags_ + static_cast<std::uint64_t>((step.z * lay_.ny() + y) *
-                                                        grid::padded_pitch(lay_.nx(), 1)) +
-                        static_cast<std::uint64_t>(x0),
-                    static_cast<std::uint64_t>(x1 - x0));
-        for (int i = 0; i < kLbmQ; ++i) {
-          const int slot = step.src_slots[static_cast<std::size_t>(1 - kCz[i] + 0)];
-          cache_.read(buf_addr(tile, step.t - 1, slot, i, y - kCy[i], x0 - kCx[i]), n);
-          if (step.to_external) {
-            cache_.write(lay_.at(dst_[i], x0, y, step.z), n);
-          } else {
-            cache_.write(buf_addr(tile, step.t, step.dst_slot, i, y, x0), n);
-          }
-        }
-        return;
-    }
-  }
-
- private:
-  std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, int i, long y,
-                         long x) const {
-    const std::uint64_t plane =
-        ((static_cast<std::uint64_t>(instance) * ring_ + static_cast<std::uint64_t>(slot)) *
-             kLbmQ +
-         static_cast<std::uint64_t>(i)) *
-        static_cast<std::uint64_t>(buf_pitch_) * buf_ny_;
-    return buf_base_ + (plane + static_cast<std::uint64_t>(y - tile.load.y.begin) * buf_pitch_ +
-                        static_cast<std::uint64_t>(x - tile.load.x.begin)) *
-                           lay_.elem();
-  }
-
-  Mem& cache_;
-  Layout& lay_;
-  const std::uint64_t* src_;
-  const std::uint64_t* dst_;
-  std::uint64_t flags_, buf_base_;
-  long buf_pitch_, buf_ny_;
-  int ring_;
-};
-
-void trace_lbm_naive_row(Mem& cache, const Layout& lay, const std::uint64_t* src,
-                         const std::uint64_t* dst, std::uint64_t flags, long y, long z,
-                         long nx) {
-  const std::uint64_t n = static_cast<std::uint64_t>(nx) * lay.elem();
-  cache.read(flags + static_cast<std::uint64_t>((z * lay.ny() + y) *
-                                                grid::padded_pitch(lay.nx(), 1)),
-             static_cast<std::uint64_t>(nx));
-  for (int i = 0; i < kLbmQ; ++i) {
-    const long yy = y - kCy[i], zz = z - kCz[i];
-    if (yy < 0 || yy >= lay.ny() || zz < 0 || zz >= lay.nz()) continue;
-    cache.read(lay.at(src[i], 0, yy, zz), n);
-    cache.write(lay.at(dst[i], 0, y, z), n);
-  }
-}
-
-}  // namespace
 
 TrafficReport trace_lbm(Scheme scheme, const TraceConfig& cfg) {
-  S35_CHECK(cfg.nx > 0 && cfg.ny > 0 && cfg.nz > 0 && cfg.steps >= 1);
-  Layout lay(cfg.nx, cfg.ny, cfg.nz, cfg.elem_bytes);
-  std::uint64_t src[kLbmQ], dst[kLbmQ];
-  for (int i = 0; i < kLbmQ; ++i) src[i] = lay.reserve_grid();
-  for (int i = 0; i < kLbmQ; ++i) dst[i] = lay.reserve_grid();
-  const std::uint64_t flags = lay.reserve(
-      static_cast<std::uint64_t>(grid::padded_pitch(cfg.nx, 1)) * cfg.ny * cfg.nz);
-  auto mem = make_mem(cfg);
-  Mem& cache = *mem;
-
-  switch (scheme) {
-    case Scheme::kNaive:
-    case Scheme::kSpatial3D:  // no spatial reuse: same pattern as naive
-      for (int s = 0; s < cfg.steps; ++s) {
-        for (long z = 0; z < cfg.nz; ++z)
-          for (long y = 0; y < cfg.ny; ++y)
-            trace_lbm_naive_row(cache, lay, src, dst, flags, y, z, cfg.nx);
-        std::swap_ranges(src, src + kLbmQ, dst);
-      }
-      break;
-
-    case Scheme::kBlocked4D: {
-      // Stencil-style 4D blocks with 19 SoA arrays and proper ping-pong
-      // buffer addressing so buffer residency competes for cache capacity.
-      const long dx = cfg.dim_x, dy4 = cfg.dim_y > 0 ? cfg.dim_y : dx,
-                 dz4 = cfg.dim_z > 0 ? cfg.dim_z : dx;
-      S35_CHECK(dx > 0);
-      const long bpitch = grid::padded_pitch(dx, cfg.elem_bytes);
-      const std::uint64_t half =
-          static_cast<std::uint64_t>(bpitch) * dy4 * dz4 * kLbmQ * cfg.elem_bytes;
-      std::uint64_t buf_a = lay.reserve(half);
-      std::uint64_t buf_b = lay.reserve(half);
-      int remaining = cfg.steps;
-      while (remaining > 0) {
-        const int dt = remaining < cfg.dim_t ? remaining : cfg.dim_t;
-        const auto xs = core::split_axis_tiles(cfg.nx, dx, cfg.radius, dt);
-        const auto ys = core::split_axis_tiles(cfg.ny, dy4, cfg.radius, dt);
-        const auto zs = core::split_axis_tiles(cfg.nz, dz4, cfg.radius, dt);
-        for (const auto& az : zs)
-          for (const auto& ay : ys)
-            for (const auto& ax : xs) {
-              const auto brow = [&](std::uint64_t base, int i, long y, long z, long x) {
-                const std::uint64_t plane =
-                    static_cast<std::uint64_t>(i) * dz4 * dy4 +
-                    static_cast<std::uint64_t>((z - az.load.begin) * dy4 +
-                                               (y - ay.load.begin));
-                return base + (plane * bpitch +
-                               static_cast<std::uint64_t>(x - ax.load.begin)) *
-                                  cfg.elem_bytes;
-              };
-              for (int i = 0; i < kLbmQ; ++i)
-                for (long z = az.load.begin; z < az.load.end; ++z)
-                  for (long y = ay.load.begin; y < ay.load.end; ++y) {
-                    const std::uint64_t n =
-                        static_cast<std::uint64_t>(ax.load.size()) * cfg.elem_bytes;
-                    cache.read(lay.at(src[i], ax.load.begin, y, z), n);
-                    cache.write(brow(buf_a, i, y, z, ax.load.begin), n);
-                  }
-              for (int t = 1; t <= dt; ++t) {
-                const auto vx = core::shrink_extent(ax.load, cfg.nx, cfg.radius, t);
-                const auto vy = core::shrink_extent(ay.load, cfg.ny, cfg.radius, t);
-                const auto vz = core::shrink_extent(az.load, cfg.nz, cfg.radius, t);
-                const bool last = (t == dt);
-                const std::uint64_t n =
-                    static_cast<std::uint64_t>(vx.size()) * cfg.elem_bytes;
-                for (long z = vz.begin; z < vz.end; ++z)
-                  for (long y = vy.begin; y < vy.end; ++y)
-                    for (int i = 0; i < kLbmQ; ++i) {
-                      cache.read(brow(buf_a, i, y - kCy[i], z - kCz[i], vx.begin - kCx[i]),
-                                 n);
-                      if (last) {
-                        cache.write(lay.at(dst[i], vx.begin, y, z), n);
-                      } else {
-                        cache.write(brow(buf_b, i, y, z, vx.begin), n);
-                      }
-                    }
-                std::swap(buf_a, buf_b);
-              }
-            }
-        std::swap_ranges(src, src + kLbmQ, dst);
-        remaining -= dt;
-      }
-      break;
-    }
-
-    case Scheme::kSpatial25D:
-    case Scheme::kTemporalOnly:
-    case Scheme::kBlocked35D: {
-      long dim_x = cfg.dim_x > 0 ? cfg.dim_x : cfg.nx;
-      long dim_y = cfg.dim_y > 0 ? cfg.dim_y : dim_x;
-      int pass_t = cfg.dim_t;
-      if (scheme == Scheme::kSpatial25D) pass_t = 1;
-      if (scheme == Scheme::kTemporalOnly) {
-        dim_x = cfg.nx;
-        dim_y = cfg.ny;
-      }
-      core::Engine35 engine(1);
-      int remaining = cfg.steps;
-      while (remaining > 0) {
-        const int dt = remaining < pass_t ? remaining : pass_t;
-        const core::Tiling tiling(cfg.nx, cfg.ny, dim_x, dim_y, cfg.radius, dt);
-        const core::TemporalSchedule sched(cfg.nz, cfg.radius, dt, false, cfg.family,
-                                           cfg.dim_z);
-        TraceLbmSlab kernel(cache, lay, src, dst, flags, dim_x, dim_y, dt,
-                            sched.planes_per_instance());
-        engine.run_pass(kernel, tiling, sched);
-        std::swap_ranges(src, src + kLbmQ, dst);
-        remaining -= dt;
-      }
-      break;
-    }
-  }
-
-  TrafficReport rep;
-  cache.finish(rep);
-  rep.updates = static_cast<std::uint64_t>(cfg.nx) * cfg.ny * cfg.nz *
-                static_cast<std::uint64_t>(cfg.steps);
-  // Mirror the replayed external traffic into the telemetry registry so
-  // simulated and wall-clock runs report through one channel.
-  telemetry::add_external_bytes(0, rep.external_read_bytes, rep.external_write_bytes);
-  return rep;
+  // LBM has no spatial reuse: 3D blocking replays as the naive sweep.
+  return replay(scheme == Scheme::kSpatial3D ? Scheme::kNaive : scheme, cfg, lbm_field());
 }
 
 double lbm_tlb_misses_per_update(const TraceConfig& cfg, const TlbConfig& tlb_cfg) {
   Layout lay(cfg.nx, cfg.ny, cfg.nz, cfg.elem_bytes);
-  std::uint64_t src[kLbmQ], dst[kLbmQ];
-  for (int i = 0; i < kLbmQ; ++i) src[i] = lay.reserve_grid();
-  for (int i = 0; i < kLbmQ; ++i) dst[i] = lay.reserve_grid();
+  std::uint64_t src[lbm::kQ], dst[lbm::kQ];
+  for (int i = 0; i < lbm::kQ; ++i) src[i] = lay.reserve_grid();
+  for (int i = 0; i < lbm::kQ; ++i) dst[i] = lay.reserve_grid();
   Tlb tlb(tlb_cfg);
   const std::uint64_t n = static_cast<std::uint64_t>(cfg.nx) * cfg.elem_bytes;
   for (int s = 0; s < cfg.steps; ++s) {
     for (long z = 0; z < cfg.nz; ++z)
       for (long y = 0; y < cfg.ny; ++y)
-        for (int i = 0; i < kLbmQ; ++i) {
-          const long yy = y - kCy[i], zz = z - kCz[i];
+        for (int i = 0; i < lbm::kQ; ++i) {
+          const long yy = y - lbm::kCy[i], zz = z - lbm::kCz[i];
           if (yy >= 0 && yy < cfg.ny && zz >= 0 && zz < cfg.nz) {
             tlb.access(lay.at(src[i], 0, yy, zz), n);
           }
           tlb.access(lay.at(dst[i], 0, y, z), n);
         }
-    std::swap_ranges(src, src + kLbmQ, dst);
+    std::swap_ranges(src, src + lbm::kQ, dst);
   }
   const double updates = static_cast<double>(cfg.nx) * cfg.ny * cfg.nz * cfg.steps;
   return static_cast<double>(tlb.stats().misses) / updates;

@@ -1,7 +1,7 @@
 // Traffic replay: external-memory bytes per point update for every sweep
 // scheme, measured by replaying the scheme's exact access pattern (same
-// Tiling / TemporalSchedule / Engine35 machinery as the real kernels, with
-// a tracing kernel policy) through the cache model.
+// Tiling / TemporalSchedule / Engine35 machinery and 4D block list as the
+// real kernels, with a tracing kernel policy) through the cache model.
 //
 // This is the machine-independent evidence for the paper's bandwidth
 // arithmetic: with the Core i7 8 MB LLC configuration, the measured
@@ -20,8 +20,11 @@
 
 namespace s35::memsim {
 
-// Mirrors the sweep variants of s35::stencil / s35::lbm (kept separate so
-// the simulator does not depend on the kernel libraries).
+// The sweep schemes the replay knows: every stencil::Variant, by the same
+// name. lbm::Variant is a subset; trace_lbm also accepts kSpatial25D
+// (dim_t = 1 passes) and replays kSpatial3D as kNaive, since LBM has no
+// spatial reuse. memsim links no kernel library: it reads only the
+// header-only D3Q19 velocity table of lbm/lattice.h.
 enum class Scheme {
   kNaive,
   kSpatial3D,

@@ -1,14 +1,13 @@
-// Periodic boundaries for the blocked grid-stencil sweeps via thick halos.
-//
-// Same idiom as lbm/periodic.h: each periodic axis is padded with
-// P = R·dim_t halo cells holding periodic images; one blocked pass of
-// dim_t steps runs on the padded grid (whose outermost R cells are the
-// engine's frozen shell); halos are refreshed from the opposite interior
-// between passes. Interior cells are exact because influence from the
-// frozen shell travels only R cells per time step.
+// Periodic boundaries for the blocked grid-stencil sweeps via thick halos
+// (core/halo.h): each periodic axis is padded with P = R·dim_t halo cells
+// holding periodic images; one blocked pass of dim_t steps runs on the
+// padded grid (whose outermost R cells are the engine's frozen shell), and
+// the halos are refreshed from the opposite interior between passes.
 #pragma once
 
+#include "core/blocks_4d.h"
 #include "core/engine.h"
+#include "core/halo.h"
 #include "stencil/sweeps.h"
 
 namespace s35::stencil {
@@ -29,87 +28,48 @@ class PeriodicStencilDriver {
   };
 
   PeriodicStencilDriver(long nx, long ny, long nz, const Options& opt)
-      : nx_(nx), ny_(ny), nz_(nz), opt_(opt),
-        pad_x_(opt.periodic_x ? R * opt.dim_t : 0),
-        pad_y_(opt.periodic_y ? R * opt.dim_t : 0),
-        pad_z_(opt.periodic_z ? R * opt.dim_t : 0),
-        pair_(nx + 2 * pad_x_, ny + 2 * pad_y_, nz + 2 * pad_z_) {
+      : opt_(opt),
+        halo_(nx, ny, nz, opt.periodic_x ? R * opt.dim_t : 0,
+              opt.periodic_y ? R * opt.dim_t : 0, opt.periodic_z ? R * opt.dim_t : 0,
+              /*shell_width=*/0),
+        pair_(halo_.padded(0), halo_.padded(1), halo_.padded(2)) {
     S35_CHECK(opt.dim_t >= 1);
-    S35_CHECK_MSG((!opt.periodic_x || nx >= pad_x_) && (!opt.periodic_y || ny >= pad_y_) &&
-                      (!opt.periodic_z || nz >= pad_z_),
-                  "domain too small for the R*dim_t halo");
     // The padded grid still needs the engine's frozen shell even on
     // non-periodic axes; the halo construction guarantees it on periodic
     // ones (pad >= R), and callers own boundary values on the others.
   }
 
-  long nx() const { return nx_; }
-  long ny() const { return ny_; }
-  long nz() const { return nz_; }
+  long nx() const { return halo_.n[0]; }
+  long ny() const { return halo_.n[1]; }
+  long nz() const { return halo_.n[2]; }
 
   T& at(long x, long y, long z) {
-    return pair_.src().at(x + pad_x_, y + pad_y_, z + pad_z_);
+    return pair_.src().at(x + halo_.pad[0], y + halo_.pad[1], z + halo_.pad[2]);
   }
 
   template <typename Fn>
   void fill_with(Fn&& fn) {
-    for (long z = 0; z < nz_; ++z)
-      for (long y = 0; y < ny_; ++y)
-        for (long x = 0; x < nx_; ++x) at(x, y, z) = fn(x, y, z);
+    for (long z = 0; z < nz(); ++z)
+      for (long y = 0; y < ny(); ++y)
+        for (long x = 0; x < nx(); ++x) at(x, y, z) = fn(x, y, z);
   }
 
   // Advances `steps` time steps of stencil S with halo refreshes between
   // blocked passes.
   void run(const S& stencil, int steps, core::Engine35& engine) {
-    int remaining = steps;
-    while (remaining > 0) {
-      const int dt = remaining < opt_.dim_t ? remaining : opt_.dim_t;
-      refresh_halos(pair_.src());
+    core::for_each_pass(steps, opt_.dim_t, [&](int dt) {
+      core::refresh_periodic_halos(halo_, pair_.src());
       SweepConfig cfg;
       cfg.dim_t = dt;
       cfg.dim_x = opt_.dim_x > 0 ? opt_.dim_x : pair_.src().nx();
       cfg.dim_y = opt_.dim_y > 0 ? opt_.dim_y : pair_.src().ny();
       run_sweep(opt_.variant, stencil, pair_, dt, cfg, engine);
-      remaining -= dt;
-    }
+    });
   }
 
  private:
-  void refresh_halos(grid::Grid3<T>& g) {
-    const long wx = g.nx(), wy = g.ny(), wz = g.nz();
-    // X halos over the interior y/z box; then Y halos over full x and
-    // interior z; then Z halos over the full plane — later phases copy
-    // already-refreshed data so edges and corners wrap correctly.
-    if (opt_.periodic_x) {
-      for (long z = pad_z_; z < pad_z_ + nz_; ++z)
-        for (long y = pad_y_; y < pad_y_ + ny_; ++y) {
-          T* row = g.row(y, z);
-          for (long x = 0; x < pad_x_; ++x) row[x] = row[x + nx_];
-          for (long x = pad_x_ + nx_; x < wx; ++x) row[x] = row[x - nx_];
-        }
-    }
-    if (opt_.periodic_y) {
-      const std::size_t bytes = static_cast<std::size_t>(wx) * sizeof(T);
-      for (long z = pad_z_; z < pad_z_ + nz_; ++z) {
-        for (long y = 0; y < pad_y_; ++y)
-          std::memcpy(g.row(y, z), g.row(y + ny_, z), bytes);
-        for (long y = pad_y_ + ny_; y < wy; ++y)
-          std::memcpy(g.row(y, z), g.row(y - ny_, z), bytes);
-      }
-    }
-    if (opt_.periodic_z) {
-      const std::size_t plane_bytes =
-          static_cast<std::size_t>(g.plane_stride()) * sizeof(T);
-      for (long z = 0; z < pad_z_; ++z)
-        std::memcpy(g.row(0, z), g.row(0, z + nz_), plane_bytes);
-      for (long z = pad_z_ + nz_; z < wz; ++z)
-        std::memcpy(g.row(0, z), g.row(0, z - nz_), plane_bytes);
-    }
-  }
-
-  long nx_, ny_, nz_;
   Options opt_;
-  long pad_x_, pad_y_, pad_z_;
+  core::PeriodicHalo halo_;
   grid::GridPair<T> pair_;
 };
 

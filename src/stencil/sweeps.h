@@ -19,6 +19,7 @@
 
 #include <string>
 
+#include "core/blocks_4d.h"
 #include "core/engine.h"
 #include "core/kernel_options.h"
 #include "core/passes.h"
@@ -236,9 +237,6 @@ void sweep_step_3d(const S& stencil, const grid::Grid3<T>& src, grid::Grid3<T>& 
   });
 }
 
-// -------------------------------------------------------------- 4D blocks
-// Declared here, implemented in sweep_4d.h (included below).
-
 // ------------------------------------------------------------- top level
 
 // Advances `pair` by `steps` time steps with the selected variant. Result
@@ -285,5 +283,4 @@ fault::Status run_sweep_verified_auto(Variant variant, const S& stencil,
 
 }  // namespace s35::stencil
 
-#include "stencil/sweep_4d.h"
 #include "stencil/sweeps_impl.h"

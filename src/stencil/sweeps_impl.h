@@ -61,19 +61,28 @@ void run_sweep(Variant variant, const S& stencil, grid::GridPair<T>& pair, int s
       return;
 
     case Variant::kBlocked4D: {
-      S35_CHECK_MSG(cfg.dim_x > 0, "kBlocked4D needs dim_x");
-      const long dx = cfg.dim_x;
-      const long dy = cfg.dim_y > 0 ? cfg.dim_y : dx;
-      const long dz = cfg.dim_z > 0 ? cfg.dim_z : dx;
-      S35_CHECK(cfg.dim_t >= 1);
-      int remaining = steps;
-      while (remaining > 0) {
-        const int dt = remaining < cfg.dim_t ? remaining : cfg.dim_t;
-        run_4d_pass<S, T, Tag>(stencil, pair.src(), pair.dst(), dx, dy, dz, dt,
-                               engine.team());
-        pair.swap();
-        remaining -= dt;
-      }
+      // In-buffer rows copy the frozen shell and update the interior.
+      using V = simd::Vec<T, Tag>;
+      const long ny = pair.src().ny(), nz = pair.src().nz();
+      core::run_4d(pair, steps, R, cfg, engine.team(),
+                   [&](const auto& in, const auto& out, long y, long z, long x0,
+                       long x1) {
+                     const T* frozen = in(0, 0, 0);
+                     T* row = out(0);
+                     if (z < R || z >= nz - R || y < R || y >= ny - R) {
+                       std::memcpy(row + x0, frozen + x0,
+                                   static_cast<std::size_t>(x1 - x0) * sizeof(T));
+                       return;
+                     }
+                     const long xa = x0 > R ? x0 : R;
+                     const long xb = x1 < nx - R ? x1 : nx - R;
+                     for (long x = x0; x < xa; ++x) row[x] = frozen[x];
+                     for (long x = xb; x < x1; ++x) row[x] = frozen[x];
+                     if (xa < xb) {
+                       const auto acc = [&](int dz, int dy) { return in(0, dy, dz); };
+                       update_row<V>(for_row(stencil, y, z), acc, row, xa, xb);
+                     }
+                   });
       return;
     }
   }

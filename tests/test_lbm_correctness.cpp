@@ -275,5 +275,23 @@ TEST(LbmPhysics, RestStateIsStationary) {
   }
 }
 
+// With dim_t = 0 a 4D pass advances 0 steps, so the run would never end;
+// the shared 4D pass loop rejects it.
+TEST(LbmDeathTest, Blocked4DNeedsPositiveDimT) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const long n = 12;
+  Geometry geom(n, n, n);
+  geom.set_box_walls();
+  geom.finalize();
+  LatticePair<float> pair(n, n, n);
+  pair.src().init_equilibrium();
+  core::Engine35 engine(2);
+  SweepConfig cfg;
+  cfg.dim_t = 0;
+  cfg.dim_x = 10;
+  const BgkParams<float> prm;
+  EXPECT_DEATH(run_lbm(Variant::kBlocked4D, geom, prm, pair, 2, cfg, engine), "dim_t >= 1");
+}
+
 }  // namespace
 }  // namespace s35::lbm

@@ -182,5 +182,16 @@ TEST(StencilSweep, ZeroStepsIsIdentity) {
   }
 }
 
+TEST(StencilDeathTest, Blocked4DNeedsPositiveDimT) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  grid::GridPair<float> pair(12, 12, 12);
+  SweepConfig cfg;
+  cfg.dim_t = 0;
+  cfg.dim_x = 8;
+  core::Engine35 engine(2);
+  const auto stencil = default_stencil7<float>();
+  EXPECT_DEATH(run_sweep(Variant::kBlocked4D, stencil, pair, 2, cfg, engine), "dim_t >= 1");
+}
+
 }  // namespace
 }  // namespace s35::stencil

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "memsim/traffic.h"
 
 namespace s35::memsim {
@@ -199,6 +202,218 @@ TEST(TrafficStencil, HierarchyMatchesSingleLevelExternally) {
   // row-range granularity, so L1-level reuse is under-represented; the
   // LLC hit rate is the meaningful signal).
   EXPECT_GT(1.0 - rep.levels[2].miss_rate(), 0.7);
+}
+
+// ------------------------------------------------------- golden replay --
+// Exact replay output for every kernel shape, scheme, schedule family and
+// store kind. The cache model is order-sensitive, so these values pin the
+// replayed address stream itself, not only its totals: any reordering of
+// a scheme's reads and writes shows up here.
+
+enum class K { k7pt, k27pt, kLbm };
+using S = Scheme;
+using F = core::ScheduleFamily;
+
+// 28x26x24, 3 steps (one full dim_t = 2 pass and a partial one), tiles
+// 16x12, 4D blocks 16x12x10 (the diamond family reads dim_z as W).
+TraceConfig golden_cfg(K k) {
+  TraceConfig cfg;
+  cfg.nx = 28;
+  cfg.ny = 26;
+  cfg.nz = 24;
+  cfg.steps = 3;
+  cfg.elem_bytes = 4;
+  cfg.radius = 1;
+  cfg.cube_neighborhood = k == K::k27pt;
+  cfg.cache.size_bytes = k == K::kLbm ? 256u << 10 : 64u << 10;
+  cfg.cache.ways = 8;
+  cfg.dim_x = 16;
+  cfg.dim_y = 12;
+  cfg.dim_z = 10;
+  cfg.dim_t = 2;
+  return cfg;
+}
+
+TrafficReport golden_run(K k, S s, const TraceConfig& cfg) {
+  return k == K::kLbm ? trace_lbm(s, cfg) : trace_stencil(s, cfg);
+}
+
+struct Golden {
+  K kernel;
+  S scheme;
+  F family;
+  bool streaming;
+  std::uint64_t read_bytes, write_bytes;
+  std::uint64_t read_hits, read_misses, write_hits, write_misses;
+};
+
+// clang-format off
+constexpr Golden kGolden[] = {
+    {K::k7pt, S::kNaive, F::kPaper35D, false, 440832, 202752, 12120, 3720, 0, 3168},
+    {K::k7pt, S::kSpatial3D, F::kPaper35D, false, 440832, 202752, 20040, 3720, 1584, 3168},
+    {K::k7pt, S::kSpatial25D, F::kPaper35D, false, 537984, 267904, 19731, 4221, 5751, 4185},
+    {K::k7pt, S::kSpatial25D, F::kDeep35D, false, 537984, 267904, 19731, 4221, 5751, 4185},
+    {K::k7pt, S::kSpatial25D, F::kDiamond, false, 659968, 362624, 19306, 4646, 4270, 5666},
+    {K::k7pt, S::kTemporalOnly, F::kPaper35D, false, 359936, 199680, 17464, 2504, 3120, 3120},
+    {K::k7pt, S::kTemporalOnly, F::kDeep35D, false, 359936, 199680, 17464, 2504, 3120, 3120},
+    {K::k7pt, S::kTemporalOnly, F::kDiamond, false, 621248, 399360, 16499, 3469, 2, 6238},
+    {K::k7pt, S::kBlocked4D, F::kPaper35D, false, 357504, 178240, 43225, 2807, 6893, 2779},
+    {K::k7pt, S::kBlocked35D, F::kPaper35D, false, 373056, 185664, 20048, 2928, 5355, 2901},
+    {K::k7pt, S::kBlocked35D, F::kDeep35D, false, 373056, 185664, 20048, 2928, 5355, 2901},
+    {K::k7pt, S::kBlocked35D, F::kDiamond, false, 552128, 317120, 19304, 3672, 3301, 4955},
+    {K::k7pt, S::kNaive, F::kPaper35D, true, 238080, 202752, 12120, 3720, 0, 0},
+    {K::k7pt, S::kSpatial3D, F::kPaper35D, true, 238080, 304128, 20040, 3720, 0, 0},
+    {K::k7pt, S::kSpatial25D, F::kPaper35D, true, 249024, 368640, 20205, 3747, 4176, 144},
+    {K::k7pt, S::kSpatial25D, F::kDeep35D, true, 249024, 368640, 20205, 3747, 4176, 144},
+    {K::k7pt, S::kSpatial25D, F::kDiamond, true, 285888, 405504, 20205, 3747, 3600, 720},
+    {K::k7pt, S::kTemporalOnly, F::kPaper35D, true, 200192, 199680, 17464, 2504, 3120, 624},
+    {K::k7pt, S::kTemporalOnly, F::kDeep35D, true, 200192, 199680, 17464, 2504, 3120, 624},
+    {K::k7pt, S::kTemporalOnly, F::kDiamond, true, 441472, 399360, 16812, 3156, 2, 3742},
+    {K::k7pt, S::kBlocked4D, F::kPaper35D, true, 179008, 255680, 43478, 2554, 5685, 243},
+    {K::k7pt, S::kBlocked35D, F::kPaper35D, true, 169024, 248576, 20475, 2501, 4372, 140},
+    {K::k7pt, S::kBlocked35D, F::kDeep35D, true, 169024, 248576, 20475, 2501, 4372, 140},
+    {K::k7pt, S::kBlocked35D, F::kDiamond, true, 238016, 290752, 20056, 2920, 3713, 799},
+    {K::k27pt, S::kNaive, F::kPaper35D, false, 442368, 202752, 24768, 3744, 0, 3168},
+    {K::k27pt, S::kSpatial3D, F::kPaper35D, false, 442304, 202752, 39025, 3743, 1584, 3168},
+    {K::k27pt, S::kSpatial25D, F::kPaper35D, false, 537984, 267904, 33459, 4221, 5751, 4185},
+    {K::k27pt, S::kSpatial25D, F::kDeep35D, false, 537984, 267904, 33459, 4221, 5751, 4185},
+    {K::k27pt, S::kSpatial25D, F::kDiamond, false, 658688, 361408, 33035, 4645, 4289, 5647},
+    {K::k27pt, S::kTemporalOnly, F::kPaper35D, false, 359936, 199680, 31192, 2504, 3120, 3120},
+    {K::k27pt, S::kTemporalOnly, F::kDeep35D, false, 359936, 199680, 31192, 2504, 3120, 3120},
+    {K::k27pt, S::kTemporalOnly, F::kDiamond, false, 623744, 399360, 30182, 3514, 8, 6232},
+    {K::k27pt, S::kBlocked4D, F::kPaper35D, false, 358272, 178048, 75079, 2825, 6899, 2773},
+    {K::k27pt, S::kBlocked35D, F::kPaper35D, false, 373056, 185664, 34480, 2928, 5355, 2901},
+    {K::k27pt, S::kBlocked35D, F::kDeep35D, false, 373056, 185664, 34480, 2928, 5355, 2901},
+    {K::k27pt, S::kBlocked35D, F::kDiamond, false, 550336, 316032, 33746, 3662, 3319, 4937},
+    {K::k27pt, S::kNaive, F::kPaper35D, true, 239616, 202752, 24768, 3744, 0, 0},
+    {K::k27pt, S::kSpatial3D, F::kPaper35D, true, 239616, 304128, 39024, 3744, 0, 0},
+    {K::k27pt, S::kSpatial25D, F::kPaper35D, true, 249024, 368640, 33933, 3747, 4176, 144},
+    {K::k27pt, S::kSpatial25D, F::kDeep35D, true, 249024, 368640, 33933, 3747, 4176, 144},
+    {K::k27pt, S::kSpatial25D, F::kDiamond, true, 285888, 405504, 33933, 3747, 3600, 720},
+    {K::k27pt, S::kTemporalOnly, F::kPaper35D, true, 200192, 199680, 31192, 2504, 3120, 624},
+    {K::k27pt, S::kTemporalOnly, F::kDeep35D, true, 200192, 199680, 31192, 2504, 3120, 624},
+    {K::k27pt, S::kTemporalOnly, F::kDiamond, true, 443520, 399360, 30500, 3196, 10, 3734},
+    {K::k27pt, S::kBlocked4D, F::kPaper35D, true, 179200, 255616, 75345, 2559, 5687, 241},
+    {K::k27pt, S::kBlocked35D, F::kPaper35D, true, 169024, 248576, 34907, 2501, 4372, 140},
+    {K::k27pt, S::kBlocked35D, F::kDeep35D, true, 169024, 248576, 34907, 2501, 4372, 140},
+    {K::k27pt, S::kBlocked35D, F::kDiamond, true, 237888, 290752, 34489, 2919, 3714, 798},
+    {K::kLbm, S::kNaive, F::kPaper35D, false, 8844288, 4362240, 0, 70032, 0, 68160},
+    {K::kLbm, S::kSpatial3D, F::kPaper35D, false, 8844288, 4362240, 0, 70032, 0, 68160},
+    {K::kLbm, S::kSpatial25D, F::kPaper35D, false, 15595392, 7499328, 75626, 130642, 75748, 113036},
+    {K::kLbm, S::kSpatial25D, F::kDeep35D, false, 15595392, 7499328, 75626, 130642, 75748, 113036},
+    {K::kLbm, S::kSpatial25D, F::kDiamond, false, 21876864, 11476032, 43130, 163138, 10096, 178688},
+    {K::kLbm, S::kTemporalOnly, F::kPaper35D, false, 14239104, 7586240, 11553, 117303, 13377, 105183},
+    {K::kLbm, S::kTemporalOnly, F::kDeep35D, false, 14239104, 7586240, 11553, 117303, 13377, 105183},
+    {K::kLbm, S::kTemporalOnly, F::kDiamond, false, 14940672, 7587840, 13968, 114888, 0, 118560},
+    {K::kLbm, S::kBlocked4D, F::kPaper35D, false, 20190912, 11309120, 75005, 142627, 10912, 172856},
+    {K::kLbm, S::kBlocked35D, F::kPaper35D, false, 11393920, 5584064, 84580, 96544, 75378, 81486},
+    {K::kLbm, S::kBlocked35D, F::kDeep35D, false, 11393920, 5584064, 84580, 96544, 75378, 81486},
+    {K::kLbm, S::kBlocked35D, F::kDiamond, false, 17491840, 9693632, 58943, 122181, 5735, 151129},
+};
+// clang-format on
+
+TEST(TrafficGolden, EveryKernelSchemeFamilyAndStoreKind) {
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(std::string(to_string(g.scheme)) + " kernel " +
+                 std::to_string(static_cast<int>(g.kernel)) + " family " +
+                 core::to_string(g.family) + (g.streaming ? " streaming" : ""));
+    TraceConfig cfg = golden_cfg(g.kernel);
+    cfg.family = g.family;
+    cfg.streaming_stores = g.streaming;
+    const TrafficReport r = golden_run(g.kernel, g.scheme, cfg);
+    EXPECT_EQ(r.external_read_bytes, g.read_bytes);
+    EXPECT_EQ(r.external_write_bytes, g.write_bytes);
+    EXPECT_EQ(r.cache.read_hits, g.read_hits);
+    EXPECT_EQ(r.cache.read_misses, g.read_misses);
+    EXPECT_EQ(r.cache.write_hits, g.write_hits);
+    EXPECT_EQ(r.cache.write_misses, g.write_misses);
+  }
+}
+
+void expect_level(const CacheStats& got, const CacheStats& want) {
+  EXPECT_EQ(got.read_hits, want.read_hits);
+  EXPECT_EQ(got.read_misses, want.read_misses);
+  EXPECT_EQ(got.write_hits, want.write_hits);
+  EXPECT_EQ(got.write_misses, want.write_misses);
+  EXPECT_EQ(got.bytes_from_memory, want.bytes_from_memory);
+  EXPECT_EQ(got.bytes_to_memory, want.bytes_to_memory);
+}
+
+TEST(TrafficGolden, HierarchyPerLevelStats) {
+  HierarchyConfig h;
+  h.levels.push_back({4u << 10, 4, 64});
+  h.levels.push_back({16u << 10, 8, 64});
+  h.levels.push_back({64u << 10, 8, 64});
+  const struct {
+    K kernel;
+    std::uint64_t read_bytes, write_bytes;
+    CacheStats levels[3];
+  } cases[] = {
+      {K::k7pt, 366848, 174976,
+       {{9380, 13596, 1585, 6671, 1297088, 510720},
+        {11726, 8541, 7944, 36, 548928, 252096},
+        {2965, 5576, 3759, 156, 366848, 174976}}},
+      {K::kLbm, 19446912, 9939072,
+       {{8756, 172368, 0, 156864, 21070848, 10039296},
+        {5143, 324089, 156864, 0, 20741696, 10039296},
+        {20285, 303804, 156810, 54, 19446912, 9939072}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.kernel));
+    TraceConfig cfg = golden_cfg(c.kernel);
+    cfg.hierarchy = &h;
+    const TrafficReport r = golden_run(c.kernel, S::kBlocked35D, cfg);
+    EXPECT_EQ(r.external_read_bytes, c.read_bytes);
+    EXPECT_EQ(r.external_write_bytes, c.write_bytes);
+    ASSERT_EQ(r.levels.size(), 3u);
+    for (int k = 0; k < 3; ++k) expect_level(r.levels[k], c.levels[k]);
+  }
+}
+
+// Radius 2 widens every stencil row read by two cells on each side.
+TEST(TrafficGolden, RadiusTwoStencil) {
+  const struct {
+    S scheme;
+    std::uint64_t read_bytes, write_bytes;
+    std::uint64_t read_hits, read_misses, write_hits, write_misses;
+  } cases[] = {
+      {S::kNaive, 402432, 168960, 20112, 3648, 0, 2640},
+      {S::kBlocked4D, 949248, 415936, 125950, 8914, 13282, 5918},
+      {S::kBlocked35D, 569152, 232704, 45327, 5257, 6252, 3636},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(to_string(c.scheme));
+    TraceConfig cfg = golden_cfg(K::k7pt);
+    cfg.radius = 2;
+    cfg.dim_x = 20;
+    cfg.dim_y = 18;
+    const TrafficReport r = trace_stencil(c.scheme, cfg);
+    EXPECT_EQ(r.external_read_bytes, c.read_bytes);
+    EXPECT_EQ(r.external_write_bytes, c.write_bytes);
+    EXPECT_EQ(r.cache.read_hits, c.read_hits);
+    EXPECT_EQ(r.cache.read_misses, c.read_misses);
+    EXPECT_EQ(r.cache.write_hits, c.write_hits);
+    EXPECT_EQ(r.cache.write_misses, c.write_misses);
+  }
+}
+
+TEST(TrafficGolden, LbmTlbMisses) {
+  const TraceConfig cfg = golden_cfg(K::kLbm);
+  EXPECT_DOUBLE_EQ(lbm_tlb_misses_per_update(cfg, {64, 4096}), 0.0441468253968254);
+  EXPECT_DOUBLE_EQ(lbm_tlb_misses_per_update(cfg, {32, 2u << 20}),
+                   0.00041971916971916975);
+}
+
+// With dim_t = 0 a 4D pass advances 0 steps, so the run would never end;
+// the shared pass loop rejects it.
+TEST(TrafficDeathTest, Blocked4DNeedsPositiveDimT) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TraceConfig cfg = golden_cfg(K::k7pt);
+  cfg.dim_t = 0;
+  EXPECT_DEATH(trace_stencil(S::kBlocked4D, cfg), "dim_t >= 1");
+  TraceConfig lcfg = golden_cfg(K::kLbm);
+  lcfg.dim_t = 0;
+  EXPECT_DEATH(trace_lbm(S::kBlocked4D, lcfg), "dim_t >= 1");
 }
 
 TEST(Scheme, NamesStable) {

@@ -90,6 +90,7 @@ int main() {
         "the kernel compute bound, trading traffic for fewer ghost ops.\n",
         100.0 * (traffic(planned) / result.best_cost - 1.0), result.samples.size());
   }
-  std::puts("paper context: Datta et al. search these parameters; Section V derives them.");
+  std::puts(
+      "paper context: Datta et al. search these parameters; Section V derives them.");
   return 0;
 }

@@ -69,8 +69,10 @@ int main() {
             "bw reduction"});
   const auto lbm = machine::lbm_d3q19();
   for (const auto& [label, c] :
-       {std::pair{"16 KB (GTX 285)", 16u << 10}, std::pair{"48 KB (Fermi smem)", 48u << 10},
-        std::pair{"768 KB (Fermi L2)", 768u << 10}, std::pair{"4 MB (CPU-class)", 4u << 20}}) {
+       {std::pair{"16 KB (GTX 285)", 16u << 10},
+        std::pair{"48 KB (Fermi smem)", 48u << 10},
+        std::pair{"768 KB (Fermi L2)", 768u << 10},
+        std::pair{"4 MB (CPU-class)", 4u << 20}}) {
     machine::Descriptor g = machine::gtx285();
     g.blocking_capacity_bytes = c;
     const auto p = core::plan(g, lbm, Precision::kSingle, {.round_multiple = 1});

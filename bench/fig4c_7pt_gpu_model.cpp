@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
                Table::fmt(2.0 * dt, 0), lb.feasible ? "yes" : "no"});
   }
   l.print();
-  std::puts("paper: dim_t >= 6.1 -> dim_x <= 2; even dim_t = 2 -> dim_x <= 4: no blocking.");
+  std::puts(
+      "paper: dim_t >= 6.1 -> dim_x <= 2; even dim_t = 2 -> dim_x <= 4: no blocking.");
 
   std::puts("\n== SIMT simulator (structural, no per-scheme calibration) ==");
   Table s({"kernel", "sim Mupd/s", "GB/s", "blocks/SM", "bound", "paper"});

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   for (const auto& bar : bars) {
     const auto p = predict_stencil7(bar.s, Precision::kSingle);
     t.add_row({to_string(bar.s), Table::fmt(p.mups, 0), Table::fmt(p.bytes_per_update, 1),
-               Table::fmt(p.ops_per_update, 1), p.bandwidth_bound ? "bandwidth" : "compute",
-               bar.paper});
+               Table::fmt(p.ops_per_update, 1),
+               p.bandwidth_bound ? "bandwidth" : "compute", bar.paper});
     telemetry::BenchRecord rec;
     rec.kernel = "stencil7_gtx285";
     rec.variant = to_string(bar.s);

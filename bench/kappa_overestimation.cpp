@@ -44,8 +44,9 @@ int main() {
       const long edge = max_dim_3d(cpu.blocking_capacity_bytes / 2, k.elem_bytes(p));
       const double k4 = kappa_4d(k.radius, plan.dim_t, edge, edge, edge);
       b.add_row({k.name, machine::to_string(p), Table::fmt(plan.dim_t, 0),
-                 Table::fmt(static_cast<double>(plan.dim_x), 0), Table::fmt(plan.kappa, 2),
-                 Table::fmt(k4, 2), Table::fmt(plan.buffer_bytes / 1024.0, 0)});
+                 Table::fmt(static_cast<double>(plan.dim_x), 0),
+                 Table::fmt(plan.kappa, 2), Table::fmt(k4, 2),
+                 Table::fmt(plan.buffer_bytes / 1024.0, 0)});
     }
   }
   b.print();

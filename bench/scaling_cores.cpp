@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   cfg.dim_t = plan.dim_t;
   cfg.dim_x = std::min<long>(plan.dim_x, n);
 
-  Table t({"threads", "measured Mupd/s", "measured speedup", "model speedup (compute-bound)"});
+  Table t({"threads", "measured Mupd/s", "measured speedup",
+           "model speedup (compute-bound)"});
   double base = 0.0;
   for (int threads : {1, 2, 4}) {
     core::Engine35 engine(threads);
@@ -43,13 +44,15 @@ int main(int argc, char** argv) {
     t.add_row({Table::fmt(threads, 0), Table::fmt(m.mups, 0),
                Table::fmt(m.mups / base, 2),
                Table::fmt(core::predicted_core_scaling(threads, false, 0.87), 2)});
-    auto rec = bench::stencil_record<float>("stencil7", stencil::Variant::kBlocked35D,
-                                            Precision::kSingle, n, steps, cfg, threads, m);
+    auto rec =
+        bench::stencil_record<float>("stencil7", stencil::Variant::kBlocked35D,
+                                     Precision::kSingle, n, steps, cfg, threads, m);
     rec.extra["speedup"] = m.mups / base;
     reporter.add(rec);
   }
   t.print();
-  std::puts("\npaper: ~3.6X on 4 cores; bandwidth-bound kernels do not scale (naive LBM).");
+  std::puts(
+      "\npaper: ~3.6X on 4 cores; bandwidth-bound kernels do not scale (naive LBM).");
   if (hw <= 1)
     std::puts("(single-core container: measured speedups are expected to be ~1.0)");
   return 0;

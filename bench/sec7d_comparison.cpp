@@ -54,9 +54,9 @@ int main() {
                Table::fmt(ours / prior, 2), "2.1X (87 -> ~180)"});
   }
   {
-    const double prior =
-        gpumodel::predict_stencil7(gpumodel::GpuScheme::kSpatialShared, Precision::kSingle)
-            .mups;
+    const double prior = gpumodel::predict_stencil7(
+                             gpumodel::GpuScheme::kSpatialShared, Precision::kSingle)
+                             .mups;
     const double ours =
         gpumodel::predict_stencil7(gpumodel::GpuScheme::kMultiUpdate, Precision::kSingle)
             .mups;
@@ -65,9 +65,9 @@ int main() {
   }
   {
     const double prior = 4500.0;  // Datta GTX280 DP (compute bound)
-    const double ours =
-        gpumodel::predict_stencil7(gpumodel::GpuScheme::kSpatialShared, Precision::kDouble)
-            .mups;
+    const double ours = gpumodel::predict_stencil7(
+                            gpumodel::GpuScheme::kSpatialShared, Precision::kDouble)
+                            .mups;
     t.add_row({"7-pt DP GPU", Table::fmt(prior, 0), Table::fmt(ours, 0),
                Table::fmt(ours / prior, 2), "0.85-0.9X (no temporal needed)"});
   }

@@ -56,15 +56,17 @@ int main() {
              "already compute bound"});
   stencil::SweepConfig sp;
   sp.dim_x = std::min<long>(n, 128);
-  t.add_row({"2.5d spatial",
-             Table::fmt(run27<float>(stencil::Variant::kSpatial25D, n, steps, sp, engine), 0),
-             "~= naive"});
+  t.add_row(
+      {"2.5d spatial",
+       Table::fmt(run27<float>(stencil::Variant::kSpatial25D, n, steps, sp, engine), 0),
+       "~= naive"});
   stencil::SweepConfig b35;
   b35.dim_t = 2;
   b35.dim_x = std::min<long>(n, 96);
-  t.add_row({"3.5d dim_t=2",
-             Table::fmt(run27<float>(stencil::Variant::kBlocked35D, n, steps, b35, engine), 0),
-             "<= naive: ghost ops, no bw to win back"});
+  t.add_row(
+      {"3.5d dim_t=2",
+       Table::fmt(run27<float>(stencil::Variant::kBlocked35D, n, steps, b35, engine), 0),
+       "<= naive: ghost ops, no bw to win back"});
   t.print();
   return 0;
 }

@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
   cfg.dim_x = plan.feasible ? std::min<long>(plan.dim_x, n) : n;
   core::Engine35 engine(mach.cores);
 
-  std::printf("heat equation on %ld^3, %d steps, r = %.3f (3.5D: dim_t=%d tile %ldx%ld)\n",
-              n, steps, r, cfg.dim_t, cfg.dim_x, cfg.dim_x);
+  std::printf(
+      "heat equation on %ld^3, %d steps, r = %.3f (3.5D: dim_t=%d tile %ldx%ld)\n", n,
+      steps, r, cfg.dim_t, cfg.dim_x, cfg.dim_x);
   Timer t;
   stencil::run_sweep(stencil::Variant::kBlocked35D, stencil, pair, steps, cfg, engine);
   std::printf("solved in %.3f s (%.1f Mupdates/s)\n", t.seconds(),

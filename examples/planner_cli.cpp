@@ -38,9 +38,10 @@ void plan_machine(const machine::Descriptor& d) {
                  plan.feasible ? Table::fmt(plan.kappa, 2) : "-",
                  Table::fmt(plan.buffer_bytes / 1024.0, 0),
                  plan.feasible ? Table::fmt(plan.predicted_mups, 0) : "-",
-                 plan.feasible
-                     ? Table::fmt(plan.predicted_mups / plan.predicted_mups_no_blocking, 2)
-                     : "-"});
+                 plan.feasible ? Table::fmt(plan.predicted_mups /
+                                                plan.predicted_mups_no_blocking,
+                                            2)
+                               : "-"});
     }
   }
   t.print();

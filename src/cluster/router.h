@@ -1,61 +1,47 @@
 // Shard router: the multi-node serving plane.
 //
 // The third JobBackend, one level above the Supervisor: where the
-// supervisor forks worker processes on one machine, the router connects to
-// `s35 serve --tcp` nodes over the cluster transport (tcp.h) and
-// multiplexes client jobs across them through the same wire frames. The
-// supervision idioms carry over unchanged — a node SIGKILL looks exactly
-// like a worker SIGKILL one level up:
+// supervisor forks worker processes on one machine, the router dials
+// `s35 serve --tcp` nodes over the cluster transport (tcp.h) and multiplexes
+// client jobs across them on the same monitor skeleton (service/monitor.h).
+// Death, hang, escalation, exactly-once delivery and the re-dial backoff are
+// the skeleton's; a node SIGKILL looks exactly like a worker SIGKILL one
+// level up. What is the router's own:
 //
-//   placement   a consistent-hash ring (ring.h) over the live nodes maps
-//               each job's shape_key to its owner, so repeat shapes land on
-//               the node whose plan cache and warm grid pool already hold
-//               them; membership changes move only ~1/N of shapes.
-//   death       EOF/hang on a node connection. The socket is drained before
-//               any job is declared lost (a result written microseconds
-//               before the kill is still a result), then every in-flight
-//               job on that node fails over to the ring successor — with
-//               resume=true, so it restarts from its last pass-boundary
-//               checkpoint in the shared checkpoint_dir, bit-exact.
-//   hang        beats carry the node's pass-progress counter; a node with
-//               in-flight work whose progress is stale past hang_ms is
-//               disconnected and failed over.
-//   exactly-once terminal state is recorded once per job id (first wins);
-//               duplicate results from a failover racing a slow socket are
-//               dropped.
-//   rejoin      dead nodes are re-dialed on capped+jittered backoff
-//               (fault::retry) and abandoned after max_rejoins; a rejoining
-//               node is re-added to the ring and immediately warmed with
-//               the full authoritative plan cache.
+//   dial         a node joins once its kHello confirms the protocol; a
+//                connection silent past the connect timeout counts as a
+//                failed dial. The hello's advertised window caps the
+//                router's.
+//   placement    a consistent-hash ring (ring.h) over the live nodes maps
+//                each job's shape_key to its owner, so repeat shapes land on
+//                the node whose plan cache and warm grid pool already hold
+//                them; membership changes move only ~1/N of shapes. Failed-
+//                over jobs resume on the ring successor from their
+//                pass-boundary checkpoint in the shared checkpoint_dir.
+//   recycle      the router cannot restart a remote process: a recycled node
+//                is disconnected and re-dialed, and placement avoids it
+//                meanwhile. A kReject (node shutting down) makes its EOF a
+//                departure, not a loss.
+//   stop         nodes outlive the router: kDrain finishes this router's
+//                work there, the router disconnects after kDrained or 1 s.
 //
 // Plan replication: the router owns the authoritative PlanCache. Writes
 // (kPlanPush ver=0 from a node that tuned locally) are stamped with a
 // monotonic version and broadcast to every other live node; reads
 // (kPlanPull on a node-local miss) are answered from the cache or with an
 // explicit miss. First tune wins: a second node racing the same key gets
-// the already-stamped entry back instead of forking plan history.
-//
-// Admission (tenant quotas, DRR fairness, brownout, poison quarantine),
-// terminals, failover and retention run on the same JobTable (job_table.h)
-// the other planes use; nodes receive only admitted, checkpoint-annotated
-// specs.
+// the already-stamped entry back instead of forking plan history. A
+// (re)joining node is warmed with the full cache.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/ring.h"
 #include "fault/retry.h"
-#include "fault/status.h"
-#include "service/backend.h"
-#include "service/job.h"
-#include "service/job_table.h"
+#include "service/monitor.h"
 #include "service/plan_cache.h"
 #include "service/tenancy.h"
 
@@ -66,7 +52,7 @@ struct RouterOptions {
   int beat_ms = 50;                // expected node heartbeat period
   int hang_ms = 5000;       // progress-staleness disconnect threshold; 0 = off
   int connect_timeout_ms = 1000;  // per dial attempt
-  int max_rejoins = 3;            // consecutive losses before a node is abandoned
+  int max_rejoins = 3;            // losses + failed dials before a node is abandoned
   int max_job_attempts = 3;       // dispatches per job, before it fails
   int vnodes = 64;                // ring points per node
   int window = 2;                 // max in-flight jobs per node (hello may lower)
@@ -94,82 +80,38 @@ struct RouterOptions {
   static RouterOptions from_env();
 };
 
-class Router : public service::JobBackend {
+class Router : public service::Monitor {
  public:
   explicit Router(RouterOptions options);
   ~Router() override;  // shutdown(): graceful drain, then detach from nodes
 
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  fault::Expected<std::uint64_t> submit(const service::JobSpec& spec) override;
-  bool cancel(std::uint64_t id) override;
-  std::optional<service::JobInfo> info(std::uint64_t id) const override {
-    return table_.info(id);
-  }
-  std::optional<service::JobInfo> wait(std::uint64_t id,
-                                       std::int64_t timeout_ms = -1) override {
-    return table_.wait(id, timeout_ms);
-  }
-  bool drain(std::int64_t timeout_ms = -1) override { return table_.drain(timeout_ms); }
-  // Supervision fields are reused one level up: workers = configured nodes,
-  // worker_deaths = node connection losses, restarts = successful rejoins.
-  service::ServiceStats stats() const override;
-
-  // Graceful drain: stops admission, finishes every accepted job (failing
-  // over across node deaths throughout), asks nodes to drain this router's
-  // work, disconnects. Nodes keep running. Idempotent.
-  void shutdown() override;
-
   const RouterOptions& options() const { return opts_; }
 
  private:
-  struct NodeSlot {
-    int index = 0;
-    std::string address;
-    int fd = -1;       // connected socket; may predate the hello
-    std::string acc;   // partial wire frames
-    bool live = false;  // hello received; in the ring
-    bool abandoned = false;
-    bool drained = false;
-    std::uint64_t rejoins = 0;  // connection losses + failed dials
-    int window = 0;             // min(opts.window, hello's advertised jobs)
-    std::vector<std::uint64_t> jobs;  // outer ids in flight on this node
-    std::uint64_t progress = 0;
-    std::int64_t progress_ns = 0;
-    std::int64_t beat_ns = 0;
-    std::int64_t reconnect_at_ns = 0;  // backoff deadline while disconnected
-    std::int64_t dial_ns = 0;          // when the current fd was connected
-  };
+  bool start_peer(Peer& n) override;
+  void on_frame(Peer& n, service::wire::FrameType type,
+                const std::string& payload) override;
+  void detach(Peer& n, bool recycle) override;
+  void reap() override;
+  void dispatch() override;
+  void halt(std::int64_t deadline_ns) override;
 
-  void monitor_loop();
-  void try_connect(NodeSlot& n);
-  void handle_frame(NodeSlot& n, std::uint32_t type, const std::string& payload);
-  void on_hello(NodeSlot& n, const std::string& payload);
-  void on_result(NodeSlot& n, const std::string& payload);
-  void on_plan_pull(NodeSlot& n, const std::string& payload);
-  void on_plan_push(NodeSlot& n, const std::string& payload);
-  void node_down(NodeSlot& n, bool expected);
-  void dispatch();
+  void on_hello(Peer& n, const std::string& payload);
+  void on_plan_pull(Peer& n, const std::string& payload);
+  void on_plan_push(Peer& n, const std::string& payload);
   // The live ring owner of `shape` when it has window room, else nullptr.
-  NodeSlot* owner_with_room(std::uint64_t shape);
-  void wake();
-  NodeSlot* slot_by_address(const std::string& address);
+  Peer* owner_with_room(std::uint64_t shape);
+  const std::string& address(const Peer& n) const {
+    return opts_.nodes[static_cast<std::size_t>(n.index)];
+  }
   std::uint64_t plan_version(const service::PlanKey& key) const;
 
+  // All state below belongs to the monitor thread.
   RouterOptions opts_;
-  service::JobTable table_;
   service::PlanCache plans_;  // authoritative; replicated to nodes
-  HashRing ring_;             // live nodes only; monitor thread mutates
-  std::vector<NodeSlot> slots_;
-  int wake_fds_[2] = {-1, -1};
-
-  mutable std::mutex mu_;  // slot metadata, plan versions
+  HashRing ring_;             // live nodes only
   std::uint64_t plan_ver_ = 0;  // replication version stamp, monotonic
   std::unordered_map<std::uint64_t, std::uint64_t> plan_ver_by_key_;
-
-  std::atomic<bool> stopping_{false};
-  std::thread monitor_;
 };
 
 }  // namespace s35::cluster

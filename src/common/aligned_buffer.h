@@ -68,7 +68,8 @@ class AlignedBuffer {
   }
 
   AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
 
   AlignedBuffer& operator=(AlignedBuffer other) noexcept {
     swap(other);

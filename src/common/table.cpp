@@ -24,7 +24,8 @@ std::string Table::to_string() const {
   std::vector<std::size_t> width(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
   for (const auto& row : rows_)
-    for (std::size_t c = 0; c < row.size(); ++c) width[c] = std::max(width[c], row[c].size());
+    for (std::size_t c = 0; c < row.size(); ++c)
+      width[c] = std::max(width[c], row[c].size());
 
   auto emit_row = [&](const std::vector<std::string>& row, std::string& out) {
     for (std::size_t c = 0; c < row.size(); ++c) {
@@ -37,7 +38,8 @@ std::string Table::to_string() const {
   std::string out;
   emit_row(header_, out);
   std::size_t total = 0;
-  for (std::size_t c = 0; c < width.size(); ++c) total += width[c] + (c + 1 < width.size() ? 2 : 0);
+  for (std::size_t c = 0; c < width.size(); ++c)
+    total += width[c] + (c + 1 < width.size() ? 2 : 0);
   out.append(total, '-');
   out += '\n';
   for (const auto& row : rows_) emit_row(row, out);

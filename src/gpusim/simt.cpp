@@ -56,8 +56,8 @@ SimResult simulate(const SimtConfig& config, const BlockProgram& program) {
   // warps per SM, limited by shared memory and registers).
   int concurrent = 8;
   if (program.shared_bytes > 0) {
-    concurrent = std::min<int>(concurrent,
-                               static_cast<int>(config.shared_bytes / program.shared_bytes));
+    concurrent = std::min<int>(
+        concurrent, static_cast<int>(config.shared_bytes / program.shared_bytes));
   }
   if (program.regs_bytes_per_thread > 0) {
     const std::size_t block_regs = program.regs_bytes_per_thread *
@@ -186,8 +186,8 @@ SimResult simulate(const SimtConfig& config, const BlockProgram& program) {
   }
 
   result.cycles_per_block = finish / concurrent;
-  const double updates =
-      static_cast<double>(concurrent) * program.iterations * program.updates_per_iteration;
+  const double updates = static_cast<double>(concurrent) * program.iterations *
+                         program.updates_per_iteration;
   const double seconds = finish / (config.clock_ghz * 1e9);
   const double per_sm = updates / seconds;
   result.updates_per_second = per_sm * config.num_sms;

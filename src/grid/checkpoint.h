@@ -317,7 +317,8 @@ inline fault::Expected<CheckpointInfo> probe_checkpoint(const std::string& path,
   std::uint64_t payload = 0;
   if (!detail::checked_payload_bytes(h.nx, h.ny, h.nz, h.elem_bytes, h.arrays,
                                      &payload))
-    return fault::Status{fault::ErrorCode::kBadHeader, "v1 dimensions fail sanity checks"};
+    return fault::Status{fault::ErrorCode::kBadHeader,
+                         "v1 dimensions fail sanity checks"};
   info = {1, latt_v1, h.elem_bytes, h.arrays, h.nx, h.ny, h.nz, 0};
   return info;
 }

@@ -70,7 +70,9 @@ class Grid3 {
     return (z * ny_ + y) * pitch_ + x;
   }
 
-  T& at(long x, long y, long z) { return storage_[static_cast<std::size_t>(index(x, y, z))]; }
+  T& at(long x, long y, long z) {
+    return storage_[static_cast<std::size_t>(index(x, y, z))];
+  }
   const T& at(long x, long y, long z) const {
     return storage_[static_cast<std::size_t>(index(x, y, z))];
   }
@@ -91,7 +93,8 @@ class Grid3 {
       for (long y = 0; y < ny_; ++y) {
         T* r = row(y, z);
         for (long x = 0; x < nx_; ++x)
-          r[x] = static_cast<T>(rng.uniform(static_cast<double>(lo), static_cast<double>(hi)));
+          r[x] = static_cast<T>(
+              rng.uniform(static_cast<double>(lo), static_cast<double>(hi)));
       }
   }
 
@@ -154,7 +157,8 @@ double max_abs_diff(const Grid3<T>& a, const Grid3<T>& b) {
       const T* ra = a.row(y, z);
       const T* rb = b.row(y, z);
       for (long x = 0; x < a.nx(); ++x) {
-        const double d = std::abs(static_cast<double>(ra[x]) - static_cast<double>(rb[x]));
+        const double d =
+            std::abs(static_cast<double>(ra[x]) - static_cast<double>(rb[x]));
         if (d > worst) worst = d;
       }
     }

@@ -27,10 +27,16 @@ inline constexpr int kQ = 19;
 
 // Velocity set (c_i) in a fixed order: rest, 6 axis, 12 planar diagonals.
 // kOpposite[i] is the index with c = -c_i.
-inline constexpr int kCx[kQ] = {0, 1, -1, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 1, -1, 0, 0, 0, 0};
-inline constexpr int kCy[kQ] = {0, 0, 0, 1, -1, 0, 0, 1, -1, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1};
-inline constexpr int kCz[kQ] = {0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 1, -1, -1, 1, 1, -1, -1, 1};
-inline constexpr int kOpposite[kQ] = {0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17};
+// clang-format off
+inline constexpr int kCx[kQ] = {0, 1, -1, 0, 0, 0, 0,
+                                1, -1, 1, -1, 1, -1, 1, -1, 0, 0, 0, 0};
+inline constexpr int kCy[kQ] = {0, 0, 0, 1, -1, 0, 0,
+                                1, -1, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1};
+inline constexpr int kCz[kQ] = {0, 0, 0, 0, 0, 1, -1,
+                                0, 0, 0, 0, 1, -1, -1, 1, 1, -1, -1, 1};
+inline constexpr int kOpposite[kQ] = {0, 2, 1, 4, 3, 6, 5,
+                                      8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17};
+// clang-format on
 
 // Lattice weights: w0 = 1/3, axis 1/18, diagonal 1/36.
 template <typename T>

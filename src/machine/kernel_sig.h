@@ -40,7 +40,9 @@ struct KernelSig {
 
   double ops() const { return flops + mem_insts; }
 
-  double bytes(Precision p) const { return p == Precision::kSingle ? bytes_sp : bytes_dp; }
+  double bytes(Precision p) const {
+    return p == Precision::kSingle ? bytes_sp : bytes_dp;
+  }
 
   std::size_t elem_bytes(Precision p) const {
     return p == Precision::kSingle ? elem_bytes_sp : elem_bytes_dp;

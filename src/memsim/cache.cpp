@@ -7,7 +7,8 @@ bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  S35_CHECK(config.line_bytes > 0 && is_pow2(static_cast<std::uint64_t>(config.line_bytes)));
+  S35_CHECK(config.line_bytes > 0 &&
+            is_pow2(static_cast<std::uint64_t>(config.line_bytes)));
   S35_CHECK(config.ways >= 1);
   const std::uint64_t lines = config.size_bytes / config.line_bytes;
   S35_CHECK(lines >= static_cast<std::uint64_t>(config.ways));

@@ -34,7 +34,9 @@ struct CacheStats {
   std::uint64_t bytes_from_memory = 0;  // line fills
   std::uint64_t bytes_to_memory = 0;    // dirty write-backs + streamed stores
 
-  std::uint64_t total_external_bytes() const { return bytes_from_memory + bytes_to_memory; }
+  std::uint64_t total_external_bytes() const {
+    return bytes_from_memory + bytes_to_memory;
+  }
   double miss_rate() const {
     const double total = static_cast<double>(read_hits + read_misses + write_hits +
                                              write_misses);

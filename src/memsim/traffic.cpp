@@ -106,7 +106,9 @@ class Layout {
   long nz() const { return nz_; }
 
  private:
-  static std::uint64_t align(std::uint64_t v) { return (v + ((1u << 20) - 1)) & ~std::uint64_t((1u << 20) - 1); }
+  static std::uint64_t align(std::uint64_t v) {
+    return (v + ((1u << 20) - 1)) & ~std::uint64_t((1u << 20) - 1);
+  }
 
   long nx_, ny_, nz_;
   std::size_t elem_;
@@ -382,13 +384,15 @@ class Replay::Slab {
   std::uint64_t buf_addr(const core::Tile& tile, int instance, int slot, int a, long y,
                          long x) const {
     const std::uint64_t plane =
-        ((static_cast<std::uint64_t>(instance) * ring_ + static_cast<std::uint64_t>(slot)) *
+        ((static_cast<std::uint64_t>(instance) * ring_ +
+          static_cast<std::uint64_t>(slot)) *
              static_cast<std::uint64_t>(arrays_) +
          static_cast<std::uint64_t>(a)) *
         static_cast<std::uint64_t>(buf_pitch_) * buf_ny_;
-    return buf_base_ + (plane + static_cast<std::uint64_t>(y - tile.load.y.begin) * buf_pitch_ +
-                        static_cast<std::uint64_t>(x - tile.load.x.begin)) *
-                           lay_.elem();
+    const std::uint64_t row =
+        static_cast<std::uint64_t>(y - tile.load.y.begin) * buf_pitch_ +
+        static_cast<std::uint64_t>(x - tile.load.x.begin);
+    return buf_base_ + (plane + row) * lay_.elem();
   }
 
   // The hot-path state is copied out of the Replay once per pass.

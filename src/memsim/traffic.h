@@ -63,9 +63,9 @@ struct TrafficReport {
   CacheStats cache;           // LLC (or the single level)
   std::vector<CacheStats> levels;  // per level when a hierarchy was used
   double bytes_per_update() const {
-    return updates == 0 ? 0.0
-                        : static_cast<double>(external_read_bytes + external_write_bytes) /
-                              static_cast<double>(updates);
+    if (updates == 0) return 0.0;
+    return static_cast<double>(external_read_bytes + external_write_bytes) /
+           static_cast<double>(updates);
   }
 };
 

@@ -1,48 +1,36 @@
 // Supervisor: the crash-isolated serving plane.
 //
 // Forks N worker processes, each running the frame executor (executor.h)
-// over one socketpair, and multiplexes client jobs over them through the
-// wire protocol (wire.h). The job records live in a JobTable (job_table.h),
-// the same lifecycle the other backends run on. One monitor thread owns
-// every worker pipe and the process table; it is simultaneously the
-// dispatcher, the heartbeat examiner, and the reaper:
+// over one socketpair, and multiplexes client jobs over them on the
+// monitor skeleton (monitor.h): death, hang, escalation, exactly-once
+// delivery and restart backoff are the skeleton's. What is the
+// Supervisor's own:
 //
-//   death       waitpid(WNOHANG) after every poll round. Before declaring
-//               the in-flight job lost, the pipe is drained — a result
-//               written microseconds before the crash is still a result.
-//   hang        beats carry a pass-progress counter; a live worker whose
-//               progress has not advanced for hang_ms is SIGKILLed. Frame
-//               arrival alone proves nothing: an injected stall keeps the
-//               executor beating while the job is frozen.
-//   escalation  a result of kSdcDetected means the in-process integrity
-//               ladder gave up — the worker is recycled and the job fails
-//               over like a crash.
+//   transport    fork + socketpair per worker; a worker serves at once,
+//                with a window of one job;
+//   reaping      waitpid(WNOHANG) each round. A worker is recycled with
+//                SIGKILL, but only while its pid is not yet reaped, so the
+//                signal can never reach a recycled pid;
+//   affinity     an idle worker claims the queued job that matches the shape
+//                of the last job it completed;
+//   faults       injected process faults ride the submit frame, to a
+//                worker's first incarnation only, so a fault never refires
+//                after the plane has absorbed it;
+//   stop         a drained worker exits on its own (persisting its plan
+//                cache shard); stragglers are SIGKILLed after 3 s.
 //
 // Failover is bit-exact: workers checkpoint at pass boundaries (format v2,
 // user_tag = completed steps), so a sibling resumes from the last durable
-// pass and ends bit-identical to a fault-free run. Exactly-once delivery:
-// terminal state is recorded once per job id; duplicate result frames are
-// dropped, and a job is re-dispatched only after its previous worker is
-// known dead. Restarts use capped+jittered backoff (fault::retry) and a
-// worker is abandoned after max_restarts; injected process faults are
-// forwarded only to a worker's first incarnation, so a fault never refires
-// after the plane has already absorbed it.
+// pass and ends bit-identical to a fault-free run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "fault/retry.h"
-#include "fault/status.h"
-#include "service/backend.h"
-#include "service/job.h"
-#include "service/job_table.h"
+#include "service/monitor.h"
 #include "service/service.h"
 
 namespace s35::service {
@@ -76,69 +64,29 @@ struct SupervisorOptions {
   static SupervisorOptions from_env();
 };
 
-class Supervisor : public JobBackend {
+class Supervisor : public Monitor {
  public:
   explicit Supervisor(SupervisorOptions options = {});
   ~Supervisor() override;  // shutdown(): graceful drain, then reap workers
 
-  Supervisor(const Supervisor&) = delete;
-  Supervisor& operator=(const Supervisor&) = delete;
-
-  fault::Expected<std::uint64_t> submit(const JobSpec& spec) override;
-  bool cancel(std::uint64_t id) override;
-  std::optional<JobInfo> info(std::uint64_t id) const override {
-    return table_.info(id);
-  }
-  std::optional<JobInfo> wait(std::uint64_t id,
-                              std::int64_t timeout_ms = -1) override {
-    return table_.wait(id, timeout_ms);
-  }
-  bool drain(std::int64_t timeout_ms = -1) override { return table_.drain(timeout_ms); }
-  ServiceStats stats() const override;
-
-  // Graceful drain: stops admission, finishes every accepted job (workers
-  // keep checkpointing in-flight work at pass boundaries throughout), asks
-  // workers to exit, reaps them. Idempotent. SIGTERM in `s35 serve` lands
-  // here.
-  void shutdown() override;
-
   const SupervisorOptions& options() const { return opts_; }
 
  private:
-  struct WorkerSlot {
-    int index = 0;
+  struct Process {
     long pid = -1;  // pid_t, widened so the header stays platform-neutral
-    int fd = -1;
-    std::string acc;  // partial wire frames
-    int incarnation = 0;
-    std::uint64_t restarts = 0;
-    bool live = false;
-    bool abandoned = false;
-    bool drained = false;
-    std::uint64_t job = 0;       // outer id in flight; 0 = idle
-    std::uint64_t affinity = 0;  // shape key of the last completed job
-    std::uint64_t progress = 0;  // last beat's pass counter
-    std::int64_t progress_ns = 0;  // when progress last advanced
-    std::int64_t beat_ns = 0;      // when any beat last arrived
-    std::int64_t restart_at_ns = 0;  // backoff deadline while !live
+    int spawns = 0;
+    std::uint64_t affinity = 0;  // shape key of the last dispatched job
   };
 
-  void monitor_loop();
-  bool spawn(WorkerSlot& w);
-  void handle_frame(WorkerSlot& w, std::uint32_t type, const std::string& payload);
-  void on_result(WorkerSlot& w, const std::string& payload);
-  void worker_down(WorkerSlot& w, bool expected);
-  void dispatch();
-  void wake();
+  bool start_peer(Peer& p) override;
+  void detach(Peer& p, bool recycle) override;
+  void reap() override;
+  void dispatch() override;
+  void halt(std::int64_t deadline_ns) override;
+  std::string submit_payload(const Peer& p, const JobTable::Job& job) const;
 
   SupervisorOptions opts_;
-  JobTable table_;
-  std::vector<WorkerSlot> slots_;
-  int wake_fds_[2] = {-1, -1};
-
-  mutable std::mutex mu_;  // slot metadata read by stats()
-  std::atomic<bool> stopping_{false};
-  std::thread monitor_;
+  std::vector<Process> procs_;  // by peer index; the monitor thread owns it
 };
 
 }  // namespace s35::service

@@ -104,8 +104,8 @@ std::vector<Case> make_cases() {
   add(Variant::kBlocked35D, 24, 24, 16, 4,
       {.dim_t = 2, .dim_x = 12, .serialized = true}, 3, "b35_serialized");
   add(Variant::kBlocked4D, 24, 24, 24, 4, {.dim_t = 2, .dim_x = 12}, 2, "b4d_t2");
-  add(Variant::kBlocked4D, 20, 18, 16, 3, {.dim_t = 3, .dim_x = 14, .dim_y = 12, .dim_z = 10},
-      4, "b4d_rect");
+  add(Variant::kBlocked4D, 20, 18, 16, 3,
+      {.dim_t = 3, .dim_x = 14, .dim_y = 12, .dim_z = 10}, 4, "b4d_rect");
   return cases;
 }
 
@@ -290,7 +290,8 @@ TEST(LbmDeathTest, Blocked4DNeedsPositiveDimT) {
   cfg.dim_t = 0;
   cfg.dim_x = 10;
   const BgkParams<float> prm;
-  EXPECT_DEATH(run_lbm(Variant::kBlocked4D, geom, prm, pair, 2, cfg, engine), "dim_t >= 1");
+  EXPECT_DEATH(run_lbm(Variant::kBlocked4D, geom, prm, pair, 2, cfg, engine),
+               "dim_t >= 1");
 }
 
 }  // namespace

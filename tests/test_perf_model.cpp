@@ -89,7 +89,8 @@ TEST(PerfModel, LbmExpectedSpeedups) {
 // and does nothing at 256^3.
 TEST(PerfModel, LbmTemporalOnlyGridDependence) {
   const double naive64 = predict_lbm_cpu(CpuScheme::kNaive, Precision::kSingle, 64).mups;
-  const double t64 = predict_lbm_cpu(CpuScheme::kTemporalOnly, Precision::kSingle, 64).mups;
+  const double t64 =
+      predict_lbm_cpu(CpuScheme::kTemporalOnly, Precision::kSingle, 64).mups;
   EXPECT_GT(t64, 1.5 * naive64);
   const double naive256 =
       predict_lbm_cpu(CpuScheme::kNaive, Precision::kSingle, 256).mups;

@@ -43,19 +43,22 @@ TYPED_TEST(VecTest, LoadStoreRoundTrip) {
   V v = V::load(buf.data());
   AlignedBuffer<T> out(static_cast<std::size_t>(V::width), T(0));
   v.store(out.data());
-  for (int i = 0; i < V::width; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], T(i + 1));
+  for (int i = 0; i < V::width; ++i)
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], T(i + 1));
 
   // Unaligned round trip at offset 1.
   V u = V::loadu(buf.data() + 1);
   std::vector<T> uout(static_cast<std::size_t>(V::width) + 1);
   u.storeu(uout.data() + 1);
-  for (int i = 0; i < V::width; ++i) EXPECT_EQ(uout[static_cast<std::size_t>(i) + 1], T(i + 2));
+  for (int i = 0; i < V::width; ++i)
+    EXPECT_EQ(uout[static_cast<std::size_t>(i) + 1], T(i + 2));
 }
 
 TYPED_TEST(VecTest, ArithmeticMatchesScalar) {
   using V = TypeParam;
   using T = typename V::value_type;
-  AlignedBuffer<T> a(static_cast<std::size_t>(V::width)), b(static_cast<std::size_t>(V::width));
+  AlignedBuffer<T> a(static_cast<std::size_t>(V::width));
+  AlignedBuffer<T> b(static_cast<std::size_t>(V::width));
   for (int i = 0; i < V::width; ++i) {
     a[static_cast<std::size_t>(i)] = T(1.5) * T(i + 1);
     b[static_cast<std::size_t>(i)] = T(0.25) * T(i + 3);

@@ -53,8 +53,8 @@ std::vector<Case> make_cases() {
   add(Variant::kTemporalOnly, 24, 24, 24, 5, {.dim_t = 2}, "temporal_t2");
   add(Variant::kTemporalOnly, 20, 16, 30, 7, {.dim_t = 3}, "temporal_t3");
   add(Variant::kBlocked4D, 40, 40, 40, 4, {.dim_t = 2, .dim_x = 16}, "blocked4d_t2");
-  add(Variant::kBlocked4D, 25, 19, 23, 6, {.dim_t = 3, .dim_x = 14, .dim_y = 18, .dim_z = 10},
-      "blocked4d_rect");
+  add(Variant::kBlocked4D, 25, 19, 23, 6,
+      {.dim_t = 3, .dim_x = 14, .dim_y = 18, .dim_z = 10}, "blocked4d_rect");
   add(Variant::kBlocked35D, 40, 40, 40, 4, {.dim_t = 2, .dim_x = 16}, "blocked35d_t2");
   add(Variant::kBlocked35D, 40, 40, 40, 6, {.dim_t = 3, .dim_x = 24}, "blocked35d_t3");
   add(Variant::kBlocked35D, 37, 23, 19, 5, {.dim_t = 2, .dim_x = 12, .dim_y = 18},
@@ -62,7 +62,8 @@ std::vector<Case> make_cases() {
   add(Variant::kBlocked35D, 40, 40, 40, 4,
       {.dim_t = 2, .dim_x = 16, .serialized = true}, "blocked35d_serialized");
   // Partial final pass: steps not a multiple of dim_t.
-  add(Variant::kBlocked35D, 32, 32, 32, 5, {.dim_t = 3, .dim_x = 20}, "blocked35d_partial");
+  add(Variant::kBlocked35D, 32, 32, 32, 5, {.dim_t = 3, .dim_x = 20},
+      "blocked35d_partial");
   // dim_t larger than what fits: single-tile temporal with big dim_t.
   add(Variant::kTemporalOnly, 16, 16, 40, 4, {.dim_t = 4}, "temporal_t4");
   return cases;
@@ -190,7 +191,8 @@ TEST(StencilDeathTest, Blocked4DNeedsPositiveDimT) {
   cfg.dim_x = 8;
   core::Engine35 engine(2);
   const auto stencil = default_stencil7<float>();
-  EXPECT_DEATH(run_sweep(Variant::kBlocked4D, stencil, pair, 2, cfg, engine), "dim_t >= 1");
+  EXPECT_DEATH(run_sweep(Variant::kBlocked4D, stencil, pair, 2, cfg, engine),
+               "dim_t >= 1");
 }
 
 }  // namespace

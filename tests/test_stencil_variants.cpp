@@ -168,7 +168,8 @@ TEST(UpdateRow, MatchesPointForAllSpanOffsets) {
   const auto acc = [&](int dz, int dy) -> const float* { return g.row(1 + dy, 1 + dz); };
 
   std::vector<float> expect(64), got(64);
-  for (long x = 1; x < 63; ++x) expect[static_cast<std::size_t>(x)] = stencil.point(acc, x);
+  for (long x = 1; x < 63; ++x)
+    expect[static_cast<std::size_t>(x)] = stencil.point(acc, x);
 
   for (long x0 = 1; x0 < 12; ++x0) {
     for (long x1 = 50; x1 < 63; ++x1) {

@@ -249,66 +249,126 @@ struct Golden {
 
 // clang-format off
 constexpr Golden kGolden[] = {
-    {K::k7pt, S::kNaive, F::kPaper35D, false, 440832, 202752, 12120, 3720, 0, 3168},
-    {K::k7pt, S::kSpatial3D, F::kPaper35D, false, 440832, 202752, 20040, 3720, 1584, 3168},
-    {K::k7pt, S::kSpatial25D, F::kPaper35D, false, 537984, 267904, 19731, 4221, 5751, 4185},
-    {K::k7pt, S::kSpatial25D, F::kDeep35D, false, 537984, 267904, 19731, 4221, 5751, 4185},
-    {K::k7pt, S::kSpatial25D, F::kDiamond, false, 659968, 362624, 19306, 4646, 4270, 5666},
-    {K::k7pt, S::kTemporalOnly, F::kPaper35D, false, 359936, 199680, 17464, 2504, 3120, 3120},
-    {K::k7pt, S::kTemporalOnly, F::kDeep35D, false, 359936, 199680, 17464, 2504, 3120, 3120},
-    {K::k7pt, S::kTemporalOnly, F::kDiamond, false, 621248, 399360, 16499, 3469, 2, 6238},
-    {K::k7pt, S::kBlocked4D, F::kPaper35D, false, 357504, 178240, 43225, 2807, 6893, 2779},
-    {K::k7pt, S::kBlocked35D, F::kPaper35D, false, 373056, 185664, 20048, 2928, 5355, 2901},
-    {K::k7pt, S::kBlocked35D, F::kDeep35D, false, 373056, 185664, 20048, 2928, 5355, 2901},
-    {K::k7pt, S::kBlocked35D, F::kDiamond, false, 552128, 317120, 19304, 3672, 3301, 4955},
-    {K::k7pt, S::kNaive, F::kPaper35D, true, 238080, 202752, 12120, 3720, 0, 0},
-    {K::k7pt, S::kSpatial3D, F::kPaper35D, true, 238080, 304128, 20040, 3720, 0, 0},
-    {K::k7pt, S::kSpatial25D, F::kPaper35D, true, 249024, 368640, 20205, 3747, 4176, 144},
-    {K::k7pt, S::kSpatial25D, F::kDeep35D, true, 249024, 368640, 20205, 3747, 4176, 144},
-    {K::k7pt, S::kSpatial25D, F::kDiamond, true, 285888, 405504, 20205, 3747, 3600, 720},
-    {K::k7pt, S::kTemporalOnly, F::kPaper35D, true, 200192, 199680, 17464, 2504, 3120, 624},
-    {K::k7pt, S::kTemporalOnly, F::kDeep35D, true, 200192, 199680, 17464, 2504, 3120, 624},
-    {K::k7pt, S::kTemporalOnly, F::kDiamond, true, 441472, 399360, 16812, 3156, 2, 3742},
-    {K::k7pt, S::kBlocked4D, F::kPaper35D, true, 179008, 255680, 43478, 2554, 5685, 243},
-    {K::k7pt, S::kBlocked35D, F::kPaper35D, true, 169024, 248576, 20475, 2501, 4372, 140},
-    {K::k7pt, S::kBlocked35D, F::kDeep35D, true, 169024, 248576, 20475, 2501, 4372, 140},
-    {K::k7pt, S::kBlocked35D, F::kDiamond, true, 238016, 290752, 20056, 2920, 3713, 799},
-    {K::k27pt, S::kNaive, F::kPaper35D, false, 442368, 202752, 24768, 3744, 0, 3168},
-    {K::k27pt, S::kSpatial3D, F::kPaper35D, false, 442304, 202752, 39025, 3743, 1584, 3168},
-    {K::k27pt, S::kSpatial25D, F::kPaper35D, false, 537984, 267904, 33459, 4221, 5751, 4185},
-    {K::k27pt, S::kSpatial25D, F::kDeep35D, false, 537984, 267904, 33459, 4221, 5751, 4185},
-    {K::k27pt, S::kSpatial25D, F::kDiamond, false, 658688, 361408, 33035, 4645, 4289, 5647},
-    {K::k27pt, S::kTemporalOnly, F::kPaper35D, false, 359936, 199680, 31192, 2504, 3120, 3120},
-    {K::k27pt, S::kTemporalOnly, F::kDeep35D, false, 359936, 199680, 31192, 2504, 3120, 3120},
-    {K::k27pt, S::kTemporalOnly, F::kDiamond, false, 623744, 399360, 30182, 3514, 8, 6232},
-    {K::k27pt, S::kBlocked4D, F::kPaper35D, false, 358272, 178048, 75079, 2825, 6899, 2773},
-    {K::k27pt, S::kBlocked35D, F::kPaper35D, false, 373056, 185664, 34480, 2928, 5355, 2901},
-    {K::k27pt, S::kBlocked35D, F::kDeep35D, false, 373056, 185664, 34480, 2928, 5355, 2901},
-    {K::k27pt, S::kBlocked35D, F::kDiamond, false, 550336, 316032, 33746, 3662, 3319, 4937},
-    {K::k27pt, S::kNaive, F::kPaper35D, true, 239616, 202752, 24768, 3744, 0, 0},
-    {K::k27pt, S::kSpatial3D, F::kPaper35D, true, 239616, 304128, 39024, 3744, 0, 0},
-    {K::k27pt, S::kSpatial25D, F::kPaper35D, true, 249024, 368640, 33933, 3747, 4176, 144},
-    {K::k27pt, S::kSpatial25D, F::kDeep35D, true, 249024, 368640, 33933, 3747, 4176, 144},
-    {K::k27pt, S::kSpatial25D, F::kDiamond, true, 285888, 405504, 33933, 3747, 3600, 720},
-    {K::k27pt, S::kTemporalOnly, F::kPaper35D, true, 200192, 199680, 31192, 2504, 3120, 624},
-    {K::k27pt, S::kTemporalOnly, F::kDeep35D, true, 200192, 199680, 31192, 2504, 3120, 624},
-    {K::k27pt, S::kTemporalOnly, F::kDiamond, true, 443520, 399360, 30500, 3196, 10, 3734},
-    {K::k27pt, S::kBlocked4D, F::kPaper35D, true, 179200, 255616, 75345, 2559, 5687, 241},
-    {K::k27pt, S::kBlocked35D, F::kPaper35D, true, 169024, 248576, 34907, 2501, 4372, 140},
-    {K::k27pt, S::kBlocked35D, F::kDeep35D, true, 169024, 248576, 34907, 2501, 4372, 140},
-    {K::k27pt, S::kBlocked35D, F::kDiamond, true, 237888, 290752, 34489, 2919, 3714, 798},
-    {K::kLbm, S::kNaive, F::kPaper35D, false, 8844288, 4362240, 0, 70032, 0, 68160},
-    {K::kLbm, S::kSpatial3D, F::kPaper35D, false, 8844288, 4362240, 0, 70032, 0, 68160},
-    {K::kLbm, S::kSpatial25D, F::kPaper35D, false, 15595392, 7499328, 75626, 130642, 75748, 113036},
-    {K::kLbm, S::kSpatial25D, F::kDeep35D, false, 15595392, 7499328, 75626, 130642, 75748, 113036},
-    {K::kLbm, S::kSpatial25D, F::kDiamond, false, 21876864, 11476032, 43130, 163138, 10096, 178688},
-    {K::kLbm, S::kTemporalOnly, F::kPaper35D, false, 14239104, 7586240, 11553, 117303, 13377, 105183},
-    {K::kLbm, S::kTemporalOnly, F::kDeep35D, false, 14239104, 7586240, 11553, 117303, 13377, 105183},
-    {K::kLbm, S::kTemporalOnly, F::kDiamond, false, 14940672, 7587840, 13968, 114888, 0, 118560},
-    {K::kLbm, S::kBlocked4D, F::kPaper35D, false, 20190912, 11309120, 75005, 142627, 10912, 172856},
-    {K::kLbm, S::kBlocked35D, F::kPaper35D, false, 11393920, 5584064, 84580, 96544, 75378, 81486},
-    {K::kLbm, S::kBlocked35D, F::kDeep35D, false, 11393920, 5584064, 84580, 96544, 75378, 81486},
-    {K::kLbm, S::kBlocked35D, F::kDiamond, false, 17491840, 9693632, 58943, 122181, 5735, 151129},
+    {K::k7pt, S::kNaive, F::kPaper35D, false,
+     440832, 202752, 12120, 3720, 0, 3168},
+    {K::k7pt, S::kSpatial3D, F::kPaper35D, false,
+     440832, 202752, 20040, 3720, 1584, 3168},
+    {K::k7pt, S::kSpatial25D, F::kPaper35D, false,
+     537984, 267904, 19731, 4221, 5751, 4185},
+    {K::k7pt, S::kSpatial25D, F::kDeep35D, false,
+     537984, 267904, 19731, 4221, 5751, 4185},
+    {K::k7pt, S::kSpatial25D, F::kDiamond, false,
+     659968, 362624, 19306, 4646, 4270, 5666},
+    {K::k7pt, S::kTemporalOnly, F::kPaper35D, false,
+     359936, 199680, 17464, 2504, 3120, 3120},
+    {K::k7pt, S::kTemporalOnly, F::kDeep35D, false,
+     359936, 199680, 17464, 2504, 3120, 3120},
+    {K::k7pt, S::kTemporalOnly, F::kDiamond, false,
+     621248, 399360, 16499, 3469, 2, 6238},
+    {K::k7pt, S::kBlocked4D, F::kPaper35D, false,
+     357504, 178240, 43225, 2807, 6893, 2779},
+    {K::k7pt, S::kBlocked35D, F::kPaper35D, false,
+     373056, 185664, 20048, 2928, 5355, 2901},
+    {K::k7pt, S::kBlocked35D, F::kDeep35D, false,
+     373056, 185664, 20048, 2928, 5355, 2901},
+    {K::k7pt, S::kBlocked35D, F::kDiamond, false,
+     552128, 317120, 19304, 3672, 3301, 4955},
+    {K::k7pt, S::kNaive, F::kPaper35D, true,
+     238080, 202752, 12120, 3720, 0, 0},
+    {K::k7pt, S::kSpatial3D, F::kPaper35D, true,
+     238080, 304128, 20040, 3720, 0, 0},
+    {K::k7pt, S::kSpatial25D, F::kPaper35D, true,
+     249024, 368640, 20205, 3747, 4176, 144},
+    {K::k7pt, S::kSpatial25D, F::kDeep35D, true,
+     249024, 368640, 20205, 3747, 4176, 144},
+    {K::k7pt, S::kSpatial25D, F::kDiamond, true,
+     285888, 405504, 20205, 3747, 3600, 720},
+    {K::k7pt, S::kTemporalOnly, F::kPaper35D, true,
+     200192, 199680, 17464, 2504, 3120, 624},
+    {K::k7pt, S::kTemporalOnly, F::kDeep35D, true,
+     200192, 199680, 17464, 2504, 3120, 624},
+    {K::k7pt, S::kTemporalOnly, F::kDiamond, true,
+     441472, 399360, 16812, 3156, 2, 3742},
+    {K::k7pt, S::kBlocked4D, F::kPaper35D, true,
+     179008, 255680, 43478, 2554, 5685, 243},
+    {K::k7pt, S::kBlocked35D, F::kPaper35D, true,
+     169024, 248576, 20475, 2501, 4372, 140},
+    {K::k7pt, S::kBlocked35D, F::kDeep35D, true,
+     169024, 248576, 20475, 2501, 4372, 140},
+    {K::k7pt, S::kBlocked35D, F::kDiamond, true,
+     238016, 290752, 20056, 2920, 3713, 799},
+    {K::k27pt, S::kNaive, F::kPaper35D, false,
+     442368, 202752, 24768, 3744, 0, 3168},
+    {K::k27pt, S::kSpatial3D, F::kPaper35D, false,
+     442304, 202752, 39025, 3743, 1584, 3168},
+    {K::k27pt, S::kSpatial25D, F::kPaper35D, false,
+     537984, 267904, 33459, 4221, 5751, 4185},
+    {K::k27pt, S::kSpatial25D, F::kDeep35D, false,
+     537984, 267904, 33459, 4221, 5751, 4185},
+    {K::k27pt, S::kSpatial25D, F::kDiamond, false,
+     658688, 361408, 33035, 4645, 4289, 5647},
+    {K::k27pt, S::kTemporalOnly, F::kPaper35D, false,
+     359936, 199680, 31192, 2504, 3120, 3120},
+    {K::k27pt, S::kTemporalOnly, F::kDeep35D, false,
+     359936, 199680, 31192, 2504, 3120, 3120},
+    {K::k27pt, S::kTemporalOnly, F::kDiamond, false,
+     623744, 399360, 30182, 3514, 8, 6232},
+    {K::k27pt, S::kBlocked4D, F::kPaper35D, false,
+     358272, 178048, 75079, 2825, 6899, 2773},
+    {K::k27pt, S::kBlocked35D, F::kPaper35D, false,
+     373056, 185664, 34480, 2928, 5355, 2901},
+    {K::k27pt, S::kBlocked35D, F::kDeep35D, false,
+     373056, 185664, 34480, 2928, 5355, 2901},
+    {K::k27pt, S::kBlocked35D, F::kDiamond, false,
+     550336, 316032, 33746, 3662, 3319, 4937},
+    {K::k27pt, S::kNaive, F::kPaper35D, true,
+     239616, 202752, 24768, 3744, 0, 0},
+    {K::k27pt, S::kSpatial3D, F::kPaper35D, true,
+     239616, 304128, 39024, 3744, 0, 0},
+    {K::k27pt, S::kSpatial25D, F::kPaper35D, true,
+     249024, 368640, 33933, 3747, 4176, 144},
+    {K::k27pt, S::kSpatial25D, F::kDeep35D, true,
+     249024, 368640, 33933, 3747, 4176, 144},
+    {K::k27pt, S::kSpatial25D, F::kDiamond, true,
+     285888, 405504, 33933, 3747, 3600, 720},
+    {K::k27pt, S::kTemporalOnly, F::kPaper35D, true,
+     200192, 199680, 31192, 2504, 3120, 624},
+    {K::k27pt, S::kTemporalOnly, F::kDeep35D, true,
+     200192, 199680, 31192, 2504, 3120, 624},
+    {K::k27pt, S::kTemporalOnly, F::kDiamond, true,
+     443520, 399360, 30500, 3196, 10, 3734},
+    {K::k27pt, S::kBlocked4D, F::kPaper35D, true,
+     179200, 255616, 75345, 2559, 5687, 241},
+    {K::k27pt, S::kBlocked35D, F::kPaper35D, true,
+     169024, 248576, 34907, 2501, 4372, 140},
+    {K::k27pt, S::kBlocked35D, F::kDeep35D, true,
+     169024, 248576, 34907, 2501, 4372, 140},
+    {K::k27pt, S::kBlocked35D, F::kDiamond, true,
+     237888, 290752, 34489, 2919, 3714, 798},
+    {K::kLbm, S::kNaive, F::kPaper35D, false,
+     8844288, 4362240, 0, 70032, 0, 68160},
+    {K::kLbm, S::kSpatial3D, F::kPaper35D, false,
+     8844288, 4362240, 0, 70032, 0, 68160},
+    {K::kLbm, S::kSpatial25D, F::kPaper35D, false,
+     15595392, 7499328, 75626, 130642, 75748, 113036},
+    {K::kLbm, S::kSpatial25D, F::kDeep35D, false,
+     15595392, 7499328, 75626, 130642, 75748, 113036},
+    {K::kLbm, S::kSpatial25D, F::kDiamond, false,
+     21876864, 11476032, 43130, 163138, 10096, 178688},
+    {K::kLbm, S::kTemporalOnly, F::kPaper35D, false,
+     14239104, 7586240, 11553, 117303, 13377, 105183},
+    {K::kLbm, S::kTemporalOnly, F::kDeep35D, false,
+     14239104, 7586240, 11553, 117303, 13377, 105183},
+    {K::kLbm, S::kTemporalOnly, F::kDiamond, false,
+     14940672, 7587840, 13968, 114888, 0, 118560},
+    {K::kLbm, S::kBlocked4D, F::kPaper35D, false,
+     20190912, 11309120, 75005, 142627, 10912, 172856},
+    {K::kLbm, S::kBlocked35D, F::kPaper35D, false,
+     11393920, 5584064, 84580, 96544, 75378, 81486},
+    {K::kLbm, S::kBlocked35D, F::kDeep35D, false,
+     11393920, 5584064, 84580, 96544, 75378, 81486},
+    {K::kLbm, S::kBlocked35D, F::kDiamond, false,
+     17491840, 9693632, 58943, 122181, 5735, 151129},
 };
 // clang-format on
 

@@ -718,7 +718,8 @@ int main(int argc, char** argv) {
   if (cmd == "route") return cmd_route(args);
   if (cmd == "plan-cache") return cmd_plan_cache(args);
   std::puts(
-      "usage: s35 <plan|traffic|gpu|tune|wavefront|run|serve|route|plan-cache> [options]\n"
+      "usage: s35 <plan|traffic|gpu|tune|wavefront|run|serve|route|plan-cache> "
+      "[options]\n"
       "  plan      blocking parameters (eqs. 1-4) for presets/host or\n"
       "            --bw G --sp G --dp G --cache MB [--cores N]\n"
       "  traffic   simulated external bytes/update per scheme\n"
@@ -732,7 +733,8 @@ int main(int argc, char** argv) {
       "            [--checkpoint-every P] [--ckpt PATH] [--resume PATH]\n"
       "            [--fail-rank R] [--fail-pass P] [--halo-corrupt PROB]\n"
       "            [--transient-attempts K] [--seed S]\n"
-      "            integrity: [--audit] [--audit-rate R] [--sentinel-stride K] [--guard-stride K]\n"
+      "            integrity: [--audit] [--audit-rate R] [--sentinel-stride K] "
+      "[--guard-stride K]\n"
       "            [--watchdog-ms MS]\n"
       "            SDC faults: [--flip-pass P --flip-round M [--flip-bit B]]\n"
       "            [--wrong-pass P --wrong-z Z --wrong-y Y]\n"
